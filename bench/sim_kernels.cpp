@@ -2,14 +2,15 @@
 // pipeline, now with per-ISA rows for the SIMD dispatch layer:
 //
 //  1. simd[]: for each of the dense kernels (1q unitary, fused 1q pair,
-//     CX pair, diagonal pair) the scalar path is timed against the
+//     CX pair, diagonal run) the scalar path is timed against the
 //     process-active path (best available by default; a CHARTER_SIMD pin
 //     is honored so CI's per-path legs record honest rows) on the same
 //     vec(rho)-sized state, the speedup is reported, and scalar/SIMD
 //     agreement <= 1e-12 is *asserted* — every bench run doubles as an
 //     equivalence check on real workload shapes.
 //  2. The fused pair kernels vs. the sequential two-pass forms they
-//     replaced (on the active path).
+//     replaced, and one diag_run pass over a static-ZZ flush run vs. one
+//     pass per tape op (on the active path; the two must be bit-identical).
 //  3. Fused-tape vs. exact-tape end-to-end execution on the density-matrix
 //     engine.
 //
@@ -22,6 +23,7 @@
 //                          [--out PATH]
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <complex>
 #include <cstdio>
@@ -31,6 +33,7 @@
 #include "bench/common.hpp"
 #include "circuit/circuit.hpp"
 #include "circuit/gate.hpp"
+#include "math/simd.hpp"
 #include "math/simd_dispatch.hpp"
 #include "noise/calibration.hpp"
 #include "noise/program.hpp"
@@ -157,6 +160,27 @@ RowResult bench_kernel_row(std::string& json, bool& first_row,
   return row;
 }
 
+/// The vec(rho) factors of a static-ZZ flush on an n-qubit density matrix:
+/// ZZ phases on pairs (0,1), (1,2), (2,3) (wrapped to the width) and RZ on
+/// qubit 0, each as a row factor followed by its conjugated column factor.
+std::vector<simd::DiagFactor> flush_run(int n, cplx ph0, cplx ph1) {
+  const cplx zz0 = std::exp(cplx(0.0, -0.02));
+  const cplx zz1 = std::exp(cplx(0.0, 0.02));
+  const std::array<cplx, 4> zz = {zz0, zz1, zz1, zz0};
+  const std::array<cplx, 4> rz = {ph0, ph1, cplx(0.0), cplx(0.0)};
+  std::vector<simd::DiagFactor> f;
+  const auto add = [&](const std::array<cplx, 4>& d, int qa, int qb) {
+    std::array<cplx, 4> dc;
+    for (std::size_t k = 0; k < 4; ++k) dc[k] = std::conj(d[k]);
+    const auto mask = [](int q) { return q < 0 ? 0 : 1ULL << q; };
+    f.push_back({mask(qa), mask(qb), d});
+    f.push_back({mask(qa + n), qb < 0 ? 0 : mask(qb + n), dc});
+  };
+  for (int e = 0; e < 3; ++e) add(zz, e % n, (e + 1) % n);
+  add(rz, 0, -1);
+  return f;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -217,15 +241,16 @@ int main(int argc, char** argv) {
       json, first_row, best, "cx_pair", input, kernel_rounds, reps, [&](cplx* a) {
         cs::kernels::apply_cx_pair(a, dim, qa, qa + 1, qb, qb + 1);
       });
+  // A static-ZZ flush as the tape lowers it: three ZZ phases on adjacent
+  // pairs and one RZ, each a row factor plus a conjugated column factor.
+  const std::vector<simd::DiagFactor> flush = flush_run(qubits, ph0, ph1);
   const RowResult r_diag = bench_kernel_row(
-      json, first_row, best, "diag_1q_pair", input, kernel_rounds, reps,
+      json, first_row, best, "diag_run", input, kernel_rounds, reps,
       [&](cplx* a) {
-        cs::kernels::apply_diag_1q_pair(a, dim, qa, ph0, ph1, qb,
-                                        std::conj(ph0), std::conj(ph1));
+        cs::kernels::diag_run(a, dim, flush.data(), flush.size());
       });
   json += "\n  ],\n";
   (void)r_1q;
-  (void)r_diag;
 
   // ---- raw kernel micro-benchmark: one fused pass vs. two passes --------
   // (on the best-available path, which stays active from here on)
@@ -240,6 +265,21 @@ int main(int argc, char** argv) {
     cs::kernels::apply_1q_pair(state.data(), dim, qa, u, qb, v);
   });
 
+  // ---- the same flush run: one diag_run pass vs. one pass per tape op ---
+  std::vector<cplx> per_op = input;
+  const double diag_per_op_s = best_seconds(reps, [&] {
+    for (std::size_t k = 0; k < flush.size(); k += 2)
+      cs::kernels::diag_run(per_op.data(), dim, flush.data() + k, 2);
+  });
+  std::vector<cplx> one_pass = input;
+  const double diag_run_s = best_seconds(reps, [&] {
+    cs::kernels::diag_run(one_pass.data(), dim, flush.data(), flush.size());
+  });
+  if (per_op != one_pass) {
+    std::fprintf(stderr, "FAIL: diag_run differs from per-op passes\n");
+    return 1;
+  }
+
   // ---- tape pipeline: exact vs fused end-to-end -------------------------
   const cn::NoiseModel model = line_model(qubits);
   const cc::Circuit circuit = workload(qubits, rounds);
@@ -253,6 +293,8 @@ int main(int argc, char** argv) {
   const double agreement = max_abs_diff(exact_state, engine.raw());
 
   const double pair_speedup = pair_s > 0.0 ? two_pass_s / pair_s : 0.0;
+  const double diag_run_speedup =
+      diag_run_s > 0.0 ? diag_per_op_s / diag_run_s : 0.0;
   const double tape_speedup = fused_s > 0.0 ? exact_s / fused_s : 0.0;
 
   char tail[1024];
@@ -263,13 +305,18 @@ int main(int argc, char** argv) {
                 "  \"kernel_two_pass_ms\": %.4f,\n"
                 "  \"kernel_pair_ms\": %.4f,\n"
                 "  \"kernel_pair_speedup\": %.3f,\n"
+                "  \"kernel_diag_per_op_ms\": %.4f,\n"
+                "  \"kernel_diag_run_ms\": %.4f,\n"
+                "  \"diag_run_speedup\": %.3f,\n"
                 "  \"tape_exact_ms\": %.3f,\n"
                 "  \"tape_fused_ms\": %.3f,\n"
                 "  \"tape_fused_speedup\": %.3f,\n"
                 "  \"fused_max_abs_diff\": %.3e\n"
                 "}\n",
                 circuit.size(), exact.size(), fused.size(), two_pass_s * 1e3,
-                pair_s * 1e3, pair_speedup, exact_s * 1e3, fused_s * 1e3,
+                pair_s * 1e3, pair_speedup, diag_per_op_s * 1e3,
+                diag_run_s * 1e3, diag_run_speedup, exact_s * 1e3,
+                fused_s * 1e3,
                 tape_speedup, agreement);
   json += tail;
   std::fputs(json.c_str(), stdout);
@@ -279,8 +326,10 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr,
                "note: best-vs-scalar speedups — unitary_1q_pair %.2fx, "
-               "cx_pair %.2fx (path %s)\n",
-               r_pair.speedup, r_cx.speedup, simd::path_name(best));
+               "cx_pair %.2fx, diag_run %.2fx (path %s); diag_run vs "
+               "per-op passes %.2fx\n",
+               r_pair.speedup, r_cx.speedup, r_diag.speedup,
+               simd::path_name(best), diag_run_speedup);
 
   if (fused.size() >= exact.size()) {
     std::fprintf(stderr, "FAIL: fusion did not shrink the tape\n");

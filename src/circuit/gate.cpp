@@ -201,6 +201,8 @@ Gate inverse_gate(const Gate& g) {
       inv.params[1] = -g.params[2];
       inv.params[2] = -g.params[1];
       break;
+    case GateKind::RESET:
+      break;  // rejected by the require above
   }
   return inv;
 }

@@ -27,14 +27,25 @@
 /// KernelTable function-pointer set, which keeps the call ABI identical
 /// across paths and lets sim/kernels.hpp stay a thin forwarding header.
 ///
+/// Diagonal density-matrix ops do not get pair kernels: every diagonal
+/// update (RZ, static-ZZ flushes, CX ZZ, drive crosstalk) is a list of
+/// DiagFactor values, and diag_run applies any run of them in one pass over
+/// the state.  The vector paths resolve each factor into per-lane cmul
+/// operands once per call and interleave four independent registers per
+/// step (math/simd_diag_run.hpp); AVX-512 has its own diag_run rather than
+/// forwarding to AVX2.
+///
 /// Determinism contract (tested by tests/test_simd.cpp):
 ///  - each path computes every output element with a fixed operation order,
 ///    so results are bit-identical run-to-run and across thread counts;
 ///  - the scalar path is bit-identical to the pre-SIMD kernels;
 ///  - paths agree with each other to <= 1e-12 in max-abs amplitude
-///    difference (FMA and reassociation change rounding, never physics).
+///    difference (FMA and reassociation change rounding, never physics);
+///  - on each path, diag_run over factors f0..fk is bit-identical to
+///    applying f0, ..., fk in separate passes.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "math/matrix.hpp"
@@ -46,6 +57,19 @@ namespace charter::math::simd {
 inline std::uint64_t insert_zero_bit(std::uint64_t x, std::uint64_t mask) {
   return ((x & ~(mask - 1)) << 1) | (x & (mask - 1));
 }
+
+/// One factor of a diagonal run: element i is multiplied by
+/// d[bit(i & m0) + 2*bit(i & m1)].  m0 is a single-bit mask; a one-qubit
+/// diagonal sets m1 = 0 and uses d[0..1] only.
+struct DiagFactor {
+  std::uint64_t m0 = 0;
+  std::uint64_t m1 = 0;
+  std::array<cplx, 4> d{};
+};
+
+/// Most factors one diag_run pass applies; the kernels precompute per-lane
+/// factor vectors for a chunk on the stack, so a call never allocates.
+inline constexpr std::size_t kDiagRunChunk = 16;
 
 /// One kernel set.  Signatures mirror sim/kernels.hpp exactly; `dim` is the
 /// amplitude count (a power of two), qubit q maps to bit q of the index.
@@ -66,11 +90,6 @@ struct KernelTable {
   // ---- fused density-matrix pair kernels --------------------------------
   void (*apply_1q_pair)(cplx* a, std::uint64_t dim, int qa, const Mat2& ua,
                         int qb, const Mat2& ub);
-  void (*apply_diag_1q_pair)(cplx* a, std::uint64_t dim, int qa, cplx a0,
-                             cplx a1, int qb, cplx b0, cplx b1);
-  void (*apply_diag_2q_pair)(cplx* a, std::uint64_t dim, int qa, int qb,
-                             const std::array<cplx, 4>& da, int qc, int qd,
-                             const std::array<cplx, 4>& db);
   void (*apply_cx_pair)(cplx* a, std::uint64_t dim, int c1, int t1, int c2,
                         int t2);
 
@@ -91,6 +110,16 @@ struct KernelTable {
 
   /// acc[i] += src[i] for i in [0, n) — the Kraus-sum accumulation loop.
   void (*accum_add)(cplx* acc, const cplx* src, std::uint64_t n);
+
+  // ---- diagonal runs ----------------------------------------------------
+
+  /// Multiplies every element by its value of f[0], then f[1], ...,
+  /// f[count-1], in one pass over \p a.  Each element gets exactly the
+  /// complex-multiply sequence of \p count single-factor passes on the same
+  /// path, so a run is bit-identical to applying its factors one at a time.
+  /// Runs longer than kDiagRunChunk take one pass per chunk.
+  void (*diag_run)(cplx* a, std::uint64_t dim, const DiagFactor* f,
+                   std::size_t count);
 };
 
 /// Table getters, one per translation unit.  A getter returns nullptr when
@@ -131,16 +160,24 @@ struct CVec2d {
   CVec2d rscale(double s) const { return {_mm_mul_pd(v, _mm_set1_pd(s))}; }
 };
 
+/// Right operand y = c + di of cmul, split into [c, c] and [d, d] so a
+/// factor reused across a loop is shuffled once.
+struct CMul2d {
+  __m128d re, im;
+};
+inline CMul2d cmul_operand(CVec2d y) {
+  return {_mm_unpacklo_pd(y.v, y.v), _mm_unpackhi_pd(y.v, y.v)};
+}
+
 /// Complex product x*y: [ac - bd, bc + ad] via mul/mul/negate-low/add —
 /// the exact operation sequence of std::complex multiplication.
-inline CVec2d cmul(CVec2d x, CVec2d y) {
-  const __m128d yr = _mm_unpacklo_pd(y.v, y.v);       // [c, c]
-  const __m128d yi = _mm_unpackhi_pd(y.v, y.v);       // [d, d]
+inline CVec2d cmul(CVec2d x, const CMul2d& y) {
   const __m128d xs = _mm_shuffle_pd(x.v, x.v, 1);     // [b, a]
-  __m128d t = _mm_mul_pd(xs, yi);                     // [b*d, a*d]
+  __m128d t = _mm_mul_pd(xs, y.im);                   // [b*d, a*d]
   t = _mm_xor_pd(t, _mm_set_pd(0.0, -0.0));           // [-b*d, a*d]
-  return {_mm_add_pd(_mm_mul_pd(x.v, yr), t)};
+  return {_mm_add_pd(_mm_mul_pd(x.v, y.re), t)};
 }
+inline CVec2d cmul(CVec2d x, CVec2d y) { return cmul(x, cmul_operand(y)); }
 
 #elif defined(__ARM_NEON) && defined(__aarch64__)
 #define CHARTER_SIMD_HAS_WIDTH2 1
@@ -164,16 +201,23 @@ struct CVec2d {
   CVec2d rscale(double s) const { return {vmulq_n_f64(v, s)}; }
 };
 
+/// Right operand y = c + di of cmul, split into [c, c] and [d, d].
+struct CMul2d {
+  float64x2_t re, im;
+};
+inline CMul2d cmul_operand(CVec2d y) {
+  return {vdupq_laneq_f64(y.v, 0), vdupq_laneq_f64(y.v, 1)};
+}
+
 /// Complex product x*y: [ac - bd, bc + ad].  The lane-0 sign flip rides the
 /// fused multiply by the exact constants (-1, 1).
-inline CVec2d cmul(CVec2d x, CVec2d y) {
-  const float64x2_t yr = vdupq_laneq_f64(y.v, 0);  // [c, c]
-  const float64x2_t yi = vdupq_laneq_f64(y.v, 1);  // [d, d]
+inline CVec2d cmul(CVec2d x, const CMul2d& y) {
   const float64x2_t xs = vextq_f64(x.v, x.v, 1);   // [b, a]
   const float64x2_t sign = {-1.0, 1.0};
-  const float64x2_t t = vmulq_f64(xs, yi);         // [b*d, a*d]
-  return {vfmaq_f64(vmulq_f64(x.v, yr), t, sign)};
+  const float64x2_t t = vmulq_f64(xs, y.im);       // [b*d, a*d]
+  return {vfmaq_f64(vmulq_f64(x.v, y.re), t, sign)};
 }
+inline CVec2d cmul(CVec2d x, CVec2d y) { return cmul(x, cmul_operand(y)); }
 #endif  // width-2 ISA
 
 // ===========================================================================
@@ -240,14 +284,22 @@ inline CVec4d concat_hi_hi(CVec4d a, CVec4d b) {
   return {_mm256_permute2f128_pd(a.v, b.v, 0x31)};
 }
 
+/// Right operand of cmul split into real and imaginary duplicates
+/// ([c, c, c', c'] and [d, d, d', d']), so a reused factor is shuffled once.
+struct CMul4d {
+  __m256d re, im;
+};
+inline CMul4d cmul_operand(CVec4d y) {
+  return {_mm256_movedup_pd(y.v), _mm256_permute_pd(y.v, 0xF)};
+}
+
 /// Complex product on both lanes via the fmaddsub recipe:
 /// even slots a*c - b*d, odd slots b*c + a*d.
-inline CVec4d cmul(CVec4d x, CVec4d y) {
-  const __m256d yr = _mm256_movedup_pd(y.v);       // [c, c, c', c']
-  const __m256d yi = _mm256_permute_pd(y.v, 0xF);  // [d, d, d', d']
+inline CVec4d cmul(CVec4d x, const CMul4d& y) {
   const __m256d xs = _mm256_permute_pd(x.v, 0x5);  // [b, a, b', a']
-  return {_mm256_fmaddsub_pd(x.v, yr, _mm256_mul_pd(xs, yi))};
+  return {_mm256_fmaddsub_pd(x.v, y.re, _mm256_mul_pd(xs, y.im))};
 }
+inline CVec4d cmul(CVec4d x, CVec4d y) { return cmul(x, cmul_operand(y)); }
 
 /// acc + x*y on both lanes.
 inline CVec4d cfma(CVec4d acc, CVec4d x, CVec4d y) { return acc + cmul(x, y); }
@@ -303,14 +355,22 @@ struct CVec8d {
   }
 };
 
+/// Right operand of cmul split into real and imaginary duplicates, so a
+/// reused factor is shuffled once.
+struct CMul8d {
+  __m512d re, im;
+};
+inline CMul8d cmul_operand(CVec8d y) {
+  return {_mm512_movedup_pd(y.v), _mm512_permute_pd(y.v, 0xFF)};
+}
+
 /// Complex product on all four lanes via the fmaddsub recipe:
 /// even slots a*c - b*d, odd slots b*c + a*d.
-inline CVec8d cmul(CVec8d x, CVec8d y) {
-  const __m512d yr = _mm512_movedup_pd(y.v);        // [c, c, ...]
-  const __m512d yi = _mm512_permute_pd(y.v, 0xFF);  // [d, d, ...]
+inline CVec8d cmul(CVec8d x, const CMul8d& y) {
   const __m512d xs = _mm512_permute_pd(x.v, 0x55);  // [b, a, ...]
-  return {_mm512_fmaddsub_pd(x.v, yr, _mm512_mul_pd(xs, yi))};
+  return {_mm512_fmaddsub_pd(x.v, y.re, _mm512_mul_pd(xs, y.im))};
 }
+inline CVec8d cmul(CVec8d x, CVec8d y) { return cmul(x, cmul_operand(y)); }
 
 /// acc + x*y on all four lanes.
 inline CVec8d cfma(CVec8d acc, CVec8d x, CVec8d y) { return acc + cmul(x, y); }

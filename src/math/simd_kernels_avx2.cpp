@@ -19,6 +19,7 @@
 #include <utility>
 
 #include "math/simd.hpp"
+#include "math/simd_diag_run.hpp"
 #include "util/parallel.hpp"
 
 #if defined(CHARTER_SIMD_HAS_AVX2)
@@ -244,44 +245,6 @@ void k_apply_1q_pair(cplx* a, std::uint64_t dim, int qa, const Mat2& ua,
   });
 }
 
-void k_apply_diag_1q_pair(cplx* a, std::uint64_t dim, int qa, cplx a0,
-                          cplx a1, int qb, cplx b0, cplx b1) {
-  const std::uint64_t amask = 1ULL << qa;
-  const std::uint64_t bmask = 1ULL << qb;
-  // Two sequential multiplies with per-lane-selected factors — for masks
-  // >= 2 both lanes select the same value, so the vectors (and therefore
-  // the arithmetic) are bit-equal to two apply_diag_1q passes.
-  util::parallel_for(static_cast<std::int64_t>(dim >> 1), [=](std::int64_t k) {
-    const std::uint64_t i = static_cast<std::uint64_t>(k) << 1;
-    const CVec4d ma = CVec4d::set((i & amask) ? a1 : a0,
-                                  ((i + 1) & amask) ? a1 : a0);
-    const CVec4d mb = CVec4d::set((i & bmask) ? b1 : b0,
-                                  ((i + 1) & bmask) ? b1 : b0);
-    cmul(cmul(CVec4d::load(a + i), ma), mb).store(a + i);
-  });
-}
-
-void k_apply_diag_2q_pair(cplx* a, std::uint64_t dim, int qa, int qb,
-                          const std::array<cplx, 4>& da, int qc, int qd,
-                          const std::array<cplx, 4>& db) {
-  const std::uint64_t am = 1ULL << qa;
-  const std::uint64_t bm = 1ULL << qb;
-  const std::uint64_t cm = 1ULL << qc;
-  const std::uint64_t dm = 1ULL << qd;
-  util::parallel_for(static_cast<std::int64_t>(dim >> 1), [=](std::int64_t k) {
-    const std::uint64_t i = static_cast<std::uint64_t>(k) << 1;
-    const auto ia = [=](std::uint64_t u) {
-      return ((u & am) ? 1u : 0u) | ((u & bm) ? 2u : 0u);
-    };
-    const auto ib = [=](std::uint64_t u) {
-      return ((u & cm) ? 1u : 0u) | ((u & dm) ? 2u : 0u);
-    };
-    const CVec4d ma = CVec4d::set(da[ia(i)], da[ia(i + 1)]);
-    const CVec4d mb = CVec4d::set(db[ib(i)], db[ib(i + 1)]);
-    cmul(cmul(CVec4d::load(a + i), ma), mb).store(a + i);
-  });
-}
-
 void k_apply_cx_pair(cplx* a, std::uint64_t dim, int c1, int t1, int c2,
                      int t2) {
   const std::uint64_t c1m = 1ULL << c1;
@@ -436,13 +399,12 @@ constexpr KernelTable kAvx2Table = {
     .apply_diag_2q = k_apply_diag_2q,
     .apply_2q = k_apply_2q,
     .apply_1q_pair = k_apply_1q_pair,
-    .apply_diag_1q_pair = k_apply_diag_1q_pair,
-    .apply_diag_2q_pair = k_apply_diag_2q_pair,
     .apply_cx_pair = k_apply_cx_pair,
     .thermal_block = k_thermal_block,
     .depol1q_block = k_depol1q_block,
     .bitflip_block = k_bitflip_block,
     .accum_add = k_accum_add,
+    .diag_run = diag_run_blocked<CVec4d>,
 };
 
 }  // namespace

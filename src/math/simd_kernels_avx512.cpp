@@ -8,10 +8,13 @@
 // >= 4 process four pairs (one 512-bit load per stream) per iteration, while
 // stride 1 and 2 keep whole pair groups inside a register and resolve them
 // with _mm512_shuffle_f64x2 128-bit-lane permutes.  The statevector-side
-// kernels — the ones hot in 20+ qubit fused-tape trajectory sweeps — are
-// vectorized here; the density-matrix pair/channel kernels forward to the
-// AVX2 implementations (the DM engine is capped at 14 qubits, where the
-// extra width is immaterial), falling back to scalar in an AVX2-less build.
+// kernels — the ones hot in 20+ qubit fused-tape trajectory sweeps — and
+// diag_run, which carries every diagonal density-matrix op (ZZ flushes, CX
+// ZZ, crosstalk, RZ), are vectorized here.  The remaining density-matrix
+// pair/channel kernels forward to the AVX2 implementations, falling back
+// to scalar in an AVX2-less build.  Both units compute a complex product
+// with the same per-element fmaddsub sequence, so a forwarded kernel and a
+// native one round identically.
 //
 // Each output element is computed by a fixed operation sequence, so results
 // are deterministic per path and across thread counts; FMA contraction is
@@ -21,6 +24,7 @@
 #include <utility>
 
 #include "math/simd.hpp"
+#include "math/simd_diag_run.hpp"
 #include "util/parallel.hpp"
 
 #if defined(CHARTER_SIMD_HAS_AVX512)
@@ -256,7 +260,7 @@ void k_accum_add(cplx* acc, const cplx* src, std::uint64_t n) {
 const KernelTable* build_table() {
   static KernelTable table = [] {
     const KernelTable* n = narrow();
-    KernelTable t = *n;  // DM pair/channel kernels forward to the narrow path
+    KernelTable t = *n;  // other DM pair/channel kernels: the narrow path
     t.name = "avx512";
     t.apply_1q = k_apply_1q;
     t.apply_diag_1q = k_apply_diag_1q;
@@ -265,6 +269,7 @@ const KernelTable* build_table() {
     t.apply_diag_2q = k_apply_diag_2q;
     t.apply_2q = k_apply_2q;
     t.accum_add = k_accum_add;
+    t.diag_run = diag_run_blocked<CVec8d>;
     return t;
   }();
   return &table;

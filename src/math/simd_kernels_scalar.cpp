@@ -124,37 +124,6 @@ void k_apply_1q_pair(cplx* a, std::uint64_t dim, int qa, const Mat2& ua,
   });
 }
 
-void k_apply_diag_1q_pair(cplx* a, std::uint64_t dim, int qa, cplx a0,
-                          cplx a1, int qb, cplx b0, cplx b1) {
-  const std::uint64_t amask = 1ULL << qa;
-  const std::uint64_t bmask = 1ULL << qb;
-  util::parallel_for(static_cast<std::int64_t>(dim), [=](std::int64_t i) {
-    const std::uint64_t ui = static_cast<std::uint64_t>(i);
-    cplx v = a[ui];
-    v *= (ui & amask) ? a1 : a0;
-    v *= (ui & bmask) ? b1 : b0;
-    a[ui] = v;
-  });
-}
-
-void k_apply_diag_2q_pair(cplx* a, std::uint64_t dim, int qa, int qb,
-                          const std::array<cplx, 4>& da, int qc, int qd,
-                          const std::array<cplx, 4>& db) {
-  const std::uint64_t am = 1ULL << qa;
-  const std::uint64_t bm = 1ULL << qb;
-  const std::uint64_t cm = 1ULL << qc;
-  const std::uint64_t dm = 1ULL << qd;
-  util::parallel_for(static_cast<std::int64_t>(dim), [=](std::int64_t i) {
-    const std::uint64_t ui = static_cast<std::uint64_t>(i);
-    const unsigned ia = ((ui & am) ? 1u : 0u) | ((ui & bm) ? 2u : 0u);
-    const unsigned ib = ((ui & cm) ? 1u : 0u) | ((ui & dm) ? 2u : 0u);
-    cplx v = a[ui];
-    v *= da[ia];
-    v *= db[ib];
-    a[ui] = v;
-  });
-}
-
 void k_apply_cx_pair(cplx* a, std::uint64_t dim, int c1, int t1, int c2,
                      int t2) {
   const std::uint64_t c1m = 1ULL << c1;
@@ -235,6 +204,17 @@ void k_accum_add(cplx* acc, const cplx* src, std::uint64_t n) {
                      [=](std::int64_t i) { acc[i] += src[i]; });
 }
 
+void k_diag_run(cplx* a, std::uint64_t dim, const DiagFactor* f,
+                std::size_t count) {
+  util::parallel_for(static_cast<std::int64_t>(dim), [=](std::int64_t i) {
+    const std::uint64_t ui = static_cast<std::uint64_t>(i);
+    cplx v = a[ui];
+    for (std::size_t k = 0; k < count; ++k)
+      v *= f[k].d[((ui & f[k].m0) ? 1u : 0u) | ((ui & f[k].m1) ? 2u : 0u)];
+    a[ui] = v;
+  });
+}
+
 constexpr KernelTable kScalarTable = {
     .name = "scalar",
     .apply_1q = k_apply_1q,
@@ -244,13 +224,12 @@ constexpr KernelTable kScalarTable = {
     .apply_diag_2q = k_apply_diag_2q,
     .apply_2q = k_apply_2q,
     .apply_1q_pair = k_apply_1q_pair,
-    .apply_diag_1q_pair = k_apply_diag_1q_pair,
-    .apply_diag_2q_pair = k_apply_diag_2q_pair,
     .apply_cx_pair = k_apply_cx_pair,
     .thermal_block = k_thermal_block,
     .depol1q_block = k_depol1q_block,
     .bitflip_block = k_bitflip_block,
     .accum_add = k_accum_add,
+    .diag_run = k_diag_run,
 };
 
 }  // namespace

@@ -10,6 +10,7 @@
 // they share the scalar implementations via table_scalar().
 
 #include "math/simd.hpp"
+#include "math/simd_diag_run.hpp"
 #include "util/parallel.hpp"
 
 #if defined(CHARTER_SIMD_HAS_WIDTH2)
@@ -108,40 +109,6 @@ void k_apply_1q_pair(cplx* a, std::uint64_t dim, int qa, const Mat2& ua,
   });
 }
 
-void k_apply_diag_1q_pair(cplx* a, std::uint64_t dim, int qa, cplx a0,
-                          cplx a1, int qb, cplx b0, cplx b1) {
-  const std::uint64_t amask = 1ULL << qa;
-  const std::uint64_t bmask = 1ULL << qb;
-  // Two sequential multiplies, exactly as two apply_diag_1q passes would
-  // perform them — keeps the pair kernel bit-identical to the two-pass
-  // form within this path.
-  const CVec2d va0 = CVec2d::from(a0), va1 = CVec2d::from(a1);
-  const CVec2d vb0 = CVec2d::from(b0), vb1 = CVec2d::from(b1);
-  util::parallel_for(static_cast<std::int64_t>(dim), [=](std::int64_t i) {
-    const std::uint64_t ui = static_cast<std::uint64_t>(i);
-    const CVec2d ma = (ui & amask) ? va1 : va0;
-    const CVec2d mb = (ui & bmask) ? vb1 : vb0;
-    cmul(cmul(CVec2d::load(a + ui), ma), mb).store(a + ui);
-  });
-}
-
-void k_apply_diag_2q_pair(cplx* a, std::uint64_t dim, int qa, int qb,
-                          const std::array<cplx, 4>& da, int qc, int qd,
-                          const std::array<cplx, 4>& db) {
-  const std::uint64_t am = 1ULL << qa;
-  const std::uint64_t bm = 1ULL << qb;
-  const std::uint64_t cm = 1ULL << qc;
-  const std::uint64_t dm = 1ULL << qd;
-  util::parallel_for(static_cast<std::int64_t>(dim), [=](std::int64_t i) {
-    const std::uint64_t ui = static_cast<std::uint64_t>(i);
-    const unsigned ia = ((ui & am) ? 1u : 0u) | ((ui & bm) ? 2u : 0u);
-    const unsigned ib = ((ui & cm) ? 1u : 0u) | ((ui & dm) ? 2u : 0u);
-    cmul(cmul(CVec2d::load(a + ui), CVec2d::from(da[ia])),
-         CVec2d::from(db[ib]))
-        .store(a + ui);
-  });
-}
-
 void k_thermal_block(cplx* a, std::uint64_t dim, std::uint64_t row,
                      std::uint64_t col, double gamma, double keep) {
   util::parallel_for(static_cast<std::int64_t>(dim >> 2), [=](std::int64_t i) {
@@ -215,13 +182,12 @@ const KernelTable kWidth2Table = {
     .apply_diag_2q = k_apply_diag_2q,
     .apply_2q = k_apply_2q,
     .apply_1q_pair = k_apply_1q_pair,
-    .apply_diag_1q_pair = k_apply_diag_1q_pair,
-    .apply_diag_2q_pair = k_apply_diag_2q_pair,
     .apply_cx_pair = nullptr,
     .thermal_block = k_thermal_block,
     .depol1q_block = k_depol1q_block,
     .bitflip_block = k_bitflip_block,
     .accum_add = k_accum_add,
+    .diag_run = diag_run_blocked<CVec2d>,
 };
 
 const KernelTable* build_table() {

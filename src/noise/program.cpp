@@ -8,6 +8,7 @@
 #include <cstring>
 #include <utility>
 
+#include "math/simd.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -187,9 +188,10 @@ void run_impl(const NoiseProgram& p, Engine& engine, std::size_t begin,
 void NoiseProgram::run(sim::NoisyEngine& engine, std::size_t begin,
                        std::size_t end) const {
   // A density-matrix engine handed in through the interface still deserves
-  // the devirtualized path; the cast costs one check per region, not per op.
+  // the devirtualized, run-grouping path; the cast costs one check per
+  // region, not per op.
   if (auto* dm = dynamic_cast<sim::DensityMatrixEngine*>(&engine)) {
-    run_impl(*this, *dm, begin, end);
+    run(*dm, begin, end);
     return;
   }
   run_impl<sim::NoisyEngine>(*this, engine, begin, end);
@@ -197,7 +199,30 @@ void NoiseProgram::run(sim::NoisyEngine& engine, std::size_t begin,
 
 void NoiseProgram::run(sim::DensityMatrixEngine& engine, std::size_t begin,
                        std::size_t end) const {
-  run_impl(*this, engine, begin, end);
+  // Each maximal run of consecutive diagonal ops inside [begin, end) becomes
+  // one diag_run pass (chunked at kDiagRunChunk factors).  Every element
+  // gets the same multiply sequence as op-by-op execution, so the result is
+  // bit-identical however a region boundary splits a run.
+  constexpr std::size_t kCap = math::simd::kDiagRunChunk;
+  math::simd::DiagFactor f[kCap];
+  std::size_t n = 0;
+  const auto flush = [&] {
+    if (n > 0) engine.apply_diag_run(f, n);
+    n = 0;
+  };
+  for (std::size_t i = begin; i < end; ++i) {
+    const TapeOp& op = ops_[i];
+    const bool one = op.kind == TapeOpKind::kDiag1q;
+    if (!one && op.kind != TapeOpKind::kDiag2q) {
+      flush();
+      run_impl(*this, engine, i, i + 1);
+      continue;
+    }
+    if (n + 2 > kCap) flush();
+    engine.diag_factors(diags_[op.payload], op.q0, one ? -1 : op.q1, f + n);
+    n += 2;
+  }
+  flush();
 }
 
 void NoiseProgram::execute(sim::NoisyEngine& engine) const {

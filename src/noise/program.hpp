@@ -11,10 +11,11 @@
 /// thermal-relaxation, depolarizing, bit-flip, kraus) with every schedule-
 /// and calibration-derived parameter resolved at lowering time.  Execution is
 /// then a tight interpreter loop; on the density-matrix engine it dispatches
-/// devirtualized single-pass pair kernels (sim/kernels.hpp), which in turn
-/// run on the SIMD path selected at process start (math/simd_dispatch.hpp) —
-/// AVX2+FMA, SSE2/NEON, or scalar — so tape interpretation inherits the
-/// vectorized kernels at no per-op cost beyond one table load.
+/// devirtualized single-pass pair kernels (sim/kernels.hpp) and executes each
+/// run of consecutive diagonal ops as one diag_run pass.  The kernels run on
+/// the SIMD path selected at process start (math/simd_dispatch.hpp) —
+/// AVX-512, AVX2+FMA, SSE2/NEON, or scalar — so tape interpretation inherits
+/// the vectorized kernels at no per-op cost beyond one table load.
 ///
 /// The pipeline is lower -> optimize -> execute:
 ///
@@ -138,7 +139,10 @@ class NoiseProgram {
   void run(sim::NoisyEngine& engine, std::size_t begin, std::size_t end) const;
 
   /// Density-matrix fast path: the same interpretation through the concrete
-  /// (final, devirtualized) engine — one pair-kernel pass per tape op.
+  /// (final, devirtualized) engine.  Each maximal run of consecutive
+  /// kDiag1q/kDiag2q ops in the region is one diag_run pass over vec(rho);
+  /// every other op is one pair-kernel pass.  Bit-identical to op-by-op
+  /// execution, wherever the region boundaries fall.
   void run(sim::DensityMatrixEngine& engine, std::size_t begin,
            std::size_t end) const;
 

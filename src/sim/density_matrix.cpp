@@ -63,9 +63,27 @@ void DensityMatrixEngine::apply_unitary_1q(const Mat2& u, int q) {
                          conj2(u));
 }
 
+void DensityMatrixEngine::diag_factors(const std::array<cplx, 4>& d, int qa,
+                                       int qb,
+                                       math::simd::DiagFactor* out) const {
+  const auto mask = [](int q) { return std::uint64_t{1} << q; };
+  out[0].m0 = mask(qa);
+  out[0].m1 = qb < 0 ? 0 : mask(qb);
+  out[0].d = d;
+  out[1].m0 = mask(qa + num_qubits_);
+  out[1].m1 = qb < 0 ? 0 : mask(qb + num_qubits_);
+  for (std::size_t k = 0; k < 4; ++k) out[1].d[k] = std::conj(d[k]);
+}
+
+void DensityMatrixEngine::apply_diag_run(const math::simd::DiagFactor* f,
+                                         std::size_t count) {
+  kernels::diag_run(rho_.data(), dim2(), f, count);
+}
+
 void DensityMatrixEngine::apply_diag_1q(cplx d0, cplx d1, int q) {
-  kernels::apply_diag_1q_pair(rho_.data(), dim2(), q, d0, d1,
-                              q + num_qubits_, std::conj(d0), std::conj(d1));
+  math::simd::DiagFactor f[2];
+  diag_factors({d0, d1, cplx(0.0), cplx(0.0)}, q, -1, f);
+  apply_diag_run(f, 2);
 }
 
 void DensityMatrixEngine::apply_cx(int c, int t) {
@@ -75,9 +93,9 @@ void DensityMatrixEngine::apply_cx(int c, int t) {
 
 void DensityMatrixEngine::apply_diag_2q(const std::array<cplx, 4>& d, int qa,
                                         int qb) {
-  kernels::apply_diag_2q_pair(
-      rho_.data(), dim2(), qa, qb, d, qa + num_qubits_, qb + num_qubits_,
-      {std::conj(d[0]), std::conj(d[1]), std::conj(d[2]), std::conj(d[3])});
+  math::simd::DiagFactor f[2];
+  diag_factors(d, qa, qb, f);
+  apply_diag_run(f, 2);
 }
 
 void DensityMatrixEngine::apply_unitary_2q(const math::Mat4& u, int qa,

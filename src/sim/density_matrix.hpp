@@ -7,9 +7,11 @@
 /// r + 2^n * c holds rho_{rc}.  A unitary U on qubit q becomes
 /// U on pseudo-qubit q and conj(U) on pseudo-qubit q+n; the row and column
 /// updates are fused into a single pass by the pair kernels
-/// (kernels::apply_*_pair), bit-identical to the sequential two-pass forms
-/// but with half the memory traffic.  Noise channels use fused single-pass
-/// closed forms (see DESIGN.md):
+/// (kernels::apply_*_pair) and, for diagonal gates, by a 2-factor
+/// kernels::diag_run — bit-identical to the sequential two-pass forms but
+/// with half the memory traffic.  apply_diag_run() takes longer runs of
+/// diagonal factors in the same single pass.  Noise channels use fused
+/// single-pass closed forms (see DESIGN.md):
 ///  - thermal relaxation mixes the 2x2 qubit blocks directly,
 ///  - depolarizing mixes diagonal entries toward the block average and
 ///    scales coherences.
@@ -20,9 +22,14 @@
 /// Memory is 16 bytes * 4^n: n=10 -> 16 MiB, n=11 -> 64 MiB; the backend
 /// switches to the trajectory engine above kMaxQubits.
 
+#include <cstddef>
 #include <vector>
 
 #include "sim/engine.hpp"
+
+namespace charter::math::simd {
+struct DiagFactor;
+}  // namespace charter::math::simd
 
 namespace charter::sim {
 
@@ -55,6 +62,17 @@ class DensityMatrixEngine final : public NoisyEngine {
   std::vector<double> probabilities() const override;
 
   std::unique_ptr<NoisyEngine> clone() const override;
+
+  /// Writes the two vec(rho) factors of the diagonal \p d on (qa, qb) to
+  /// out[0..1]: d on the row pseudo-qubits, then conj(d) on the column
+  /// pseudo-qubits.  qb < 0 marks a one-qubit diagonal diag(d[0], d[1]) on
+  /// qa.  apply_diag_1q/apply_diag_2q are exactly these 2-factor runs.
+  void diag_factors(const std::array<math::cplx, 4>& d, int qa, int qb,
+                    math::simd::DiagFactor* out) const;
+
+  /// Applies \p count diagonal factors in order in one pass over vec(rho);
+  /// bit-identical to applying their ops one at a time.
+  void apply_diag_run(const math::simd::DiagFactor* f, std::size_t count);
 
   /// Copies vec(rho) into \p out (cheap snapshot for checkpointing; the
   /// scratch buffers are transient and excluded).

@@ -10,7 +10,7 @@
 ///
 /// Since the SIMD layer landed, this header is a thin forwarding shim: each
 /// hot kernel dispatches through math::simd::active() to the scalar, width-2
-/// (SSE2/NEON), or AVX2+FMA implementation selected at runtime
+/// (SSE2/NEON), AVX2+FMA or AVX-512 implementation selected at runtime
 /// (math/simd_dispatch.hpp).  The scalar path is bit-identical to the
 /// historical loops that used to live here; the vector paths agree with it
 /// to <= 1e-12 and are individually deterministic — fixed per-element
@@ -23,9 +23,14 @@
 /// bytes.  The apply_*_pair kernels fuse the two into one pass: each
 /// 4-amplitude group is loaded once, the first update's arithmetic is applied
 /// and then the second's, so the results match the sequential two-pass forms
-/// (bit-identically on the scalar path) while halving memory traffic.  They
-/// are what the NoiseProgram tape interpreter dispatches to (see
-/// noise/program.hpp).
+/// (bit-identically on the scalar path) while halving memory traffic.
+///
+/// Diagonal runs.  Diagonal updates (RZ, static-ZZ flushes, CX ZZ, drive
+/// crosstalk) go further: diag_run applies any number of diagonal factors in
+/// one pass, each element multiplied by every factor in order.  A diagonal
+/// density-matrix op is a 2-factor run (row, then conjugated column), and
+/// the NoiseProgram tape interpreter (noise/program.hpp) folds each maximal
+/// run of consecutive diagonal tape ops into one call.
 ///
 /// Iteration order is cache-blocked by construction: groups are enumerated
 /// by inserting zero bits into an ascending counter, so the 2 (or 4) strided
@@ -35,6 +40,7 @@
 /// All kernels are OpenMP-parallel above a size threshold and in-place.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "math/matrix.hpp"
@@ -69,19 +75,12 @@ inline void apply_1q_pair(cplx* a, std::uint64_t dim, int qa, const Mat2& ua,
   math::simd::active().apply_1q_pair(a, dim, qa, ua, qb, ub);
 }
 
-/// Applies two diagonal one-qubit gates in one pass: diag(a0, a1) on \p qa,
-/// then diag(b0, b1) on \p qb.
-inline void apply_diag_1q_pair(cplx* a, std::uint64_t dim, int qa, cplx a0,
-                               cplx a1, int qb, cplx b0, cplx b1) {
-  math::simd::active().apply_diag_1q_pair(a, dim, qa, a0, a1, qb, b0, b1);
-}
-
-/// Applies two diagonal two-qubit gates in one pass: \p da on (qa, qb), then
-/// \p db on (qc, qd); 2-bit index conventions as in apply_diag_2q.
-inline void apply_diag_2q_pair(cplx* a, std::uint64_t dim, int qa, int qb,
-                               const std::array<cplx, 4>& da, int qc, int qd,
-                               const std::array<cplx, 4>& db) {
-  math::simd::active().apply_diag_2q_pair(a, dim, qa, qb, da, qc, qd, db);
+/// Multiplies every amplitude by its value of each factor in \p f, in order,
+/// in one pass (see math::simd::DiagFactor).  Bit-identical to applying the
+/// factors one pass at a time on the same path.
+inline void diag_run(cplx* a, std::uint64_t dim,
+                     const math::simd::DiagFactor* f, std::size_t count) {
+  math::simd::active().diag_run(a, dim, f, count);
 }
 
 /// Applies two CX gates with disjoint bit sets in one pass: control \p c1 /

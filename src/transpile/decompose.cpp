@@ -31,7 +31,6 @@ Gate rz_g(int q, double t, std::uint8_t f) {
   return make_gate(GateKind::RZ, {q}, {t}, f);
 }
 Gate sx_g(int q, std::uint8_t f) { return make_gate(GateKind::SX, {q}, {}, f); }
-Gate x_g(int q, std::uint8_t f) { return make_gate(GateKind::X, {q}, {}, f); }
 Gate cx_g(int c, int t, std::uint8_t f) {
   return make_gate(GateKind::CX, {c, t}, {}, f);
 }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 
 #include "circuit/circuit.hpp"
 #include "core/reversal.hpp"
@@ -101,6 +102,56 @@ TEST(NoiseProgram, ExactTapeMatchesStreamingWalkBitExactly) {
   executor.finish(c, stream, stepped);
 
   EXPECT_EQ(max_abs_diff(whole.raw(), stepped.raw()), 0.0);
+}
+
+// The density-matrix interpreter executes each maximal run of consecutive
+// diagonal ops (static-ZZ flushes, CX ZZ, drive crosstalk) as one pass.
+// On a drifted tape, running it through the interface, through the concrete
+// overload, one op per region, and as two halves split at every position
+// inside a diagonal run (resuming from a saved state, as checkpoints do)
+// must all give memcmp-identical states.
+TEST(NoiseProgram, DiagonalRunsAreExactAtEverySplit) {
+  const int n = 6;
+  const cn::NoiseModel m = line_model(n, 21).with_drift(7, 0.06);
+  const cc::Circuit c = random_basis_circuit(n, 30, 5);
+  const cn::NoiseProgram p = cn::lower(m, c);
+  const auto is_diag = [&](std::size_t i) {
+    return p.op(i).kind == cn::TapeOpKind::kDiag1q ||
+           p.op(i).kind == cn::TapeOpKind::kDiag2q;
+  };
+  std::vector<std::size_t> inner;  // split positions inside a diagonal run
+  std::size_t run = 0, longest = 0;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    run = is_diag(i) ? run + 1 : 0;
+    longest = std::max(longest, run);
+    if (run >= 2) inner.push_back(i);
+  }
+  ASSERT_GE(longest, 5u) << "tape has no ZZ-flush runs";
+
+  const auto same = [](const cs::DensityMatrixEngine& a,
+                       const cs::DensityMatrixEngine& b) {
+    return std::memcmp(a.raw().data(), b.raw().data(),
+                       a.raw().size() * sizeof(charter::math::cplx)) == 0;
+  };
+  cs::DensityMatrixEngine via_interface(n);
+  p.execute(static_cast<cs::NoisyEngine&>(via_interface));
+  cs::DensityMatrixEngine direct(n);
+  p.run(direct, 0, p.size());
+  EXPECT_TRUE(same(via_interface, direct));
+  cs::DensityMatrixEngine op_by_op(n);
+  for (std::size_t i = 0; i < p.size(); ++i) p.run(op_by_op, i, i + 1);
+  EXPECT_TRUE(same(op_by_op, direct));
+
+  std::vector<charter::math::cplx> snap;
+  for (const std::size_t split : inner) {
+    cs::DensityMatrixEngine head(n);
+    p.run(head, 0, split);
+    head.save_state(snap);
+    cs::DensityMatrixEngine resumed(n);
+    resumed.load_state(snap);
+    p.run(resumed, split, p.size());
+    EXPECT_TRUE(same(resumed, direct)) << "split at " << split;
+  }
 }
 
 TEST(NoiseProgram, BoundariesPartitionTheTape) {

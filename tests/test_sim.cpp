@@ -19,6 +19,7 @@
 namespace cc = charter::circ;
 namespace cm = charter::math;
 namespace cs = charter::sim;
+namespace ms = charter::math::simd;
 using cc::GateKind;
 using cm::cplx;
 using cm::Mat2;
@@ -102,7 +103,7 @@ TEST(PairKernels, Fused1qPairIsBitIdenticalToTwoPasses) {
   }
 }
 
-TEST(PairKernels, FusedDiagPairsAreBitIdenticalToTwoPasses) {
+TEST(PairKernels, DiagRunIsBitIdenticalToTwoPasses) {
   charter::util::Rng rng(7);
   const std::uint64_t dim = 1ULL << 6;
   const cplx d0 = std::exp(cplx(0.0, 0.3));
@@ -111,18 +112,24 @@ TEST(PairKernels, FusedDiagPairsAreBitIdenticalToTwoPasses) {
                                   std::exp(cplx(0.0, 0.01)),
                                   std::exp(cplx(0.0, 0.01)),
                                   std::exp(cplx(0.0, -0.01))};
+  // Row/column factor pair of RZ on qubit 1 of a 3-qubit density matrix.
+  ms::DiagFactor f[2];
+  f[0] = {1ULL << 1, 0, {d0, d1, cplx(0.0), cplx(0.0)}};
+  f[1] = {1ULL << 4, 0, {std::conj(d0), std::conj(d1), cplx(0.0), cplx(0.0)}};
   std::vector<cplx> fused = random_state(dim, rng);
   std::vector<cplx> twopass = fused;
-  cs::kernels::apply_diag_1q_pair(fused.data(), dim, 1, d0, d1, 4,
-                                  std::conj(d0), std::conj(d1));
+  cs::kernels::diag_run(fused.data(), dim, f, 2);
   cs::kernels::apply_diag_1q(twopass.data(), dim, 1, d0, d1);
   cs::kernels::apply_diag_1q(twopass.data(), dim, 4, std::conj(d0),
                              std::conj(d1));
   for (std::uint64_t i = 0; i < dim; ++i) ASSERT_EQ(fused[i], twopass[i]);
 
+  // ZZ on (0, 2) and (3, 5).
+  f[0] = {1ULL << 0, 1ULL << 2, zz};
+  f[1] = {1ULL << 3, 1ULL << 5, zz};
   fused = random_state(dim, rng);
   twopass = fused;
-  cs::kernels::apply_diag_2q_pair(fused.data(), dim, 0, 2, zz, 3, 5, zz);
+  cs::kernels::diag_run(fused.data(), dim, f, 2);
   cs::kernels::apply_diag_2q(twopass.data(), dim, 0, 2, zz);
   cs::kernels::apply_diag_2q(twopass.data(), dim, 3, 5, zz);
   for (std::uint64_t i = 0; i < dim; ++i) ASSERT_EQ(fused[i], twopass[i]);

@@ -12,6 +12,8 @@
 //     this guards against any input-independent nondeterminism).
 //  4. The dispatcher: scalar is always available, set_path round-trips, and
 //     the active table matches the reported path.
+//  5. On each path, a diag_run is bit-identical to applying its factors one
+//     pass at a time.
 //
 // The sweep runs on the dispatch *table* functions directly, so it tests
 // exactly what sim/kernels.hpp forwards to.
@@ -19,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <complex>
 #include <cstring>
 #include <utility>
@@ -131,33 +134,6 @@ void ref_apply_1q_pair(cplx* a, std::uint64_t dim, int qa, const Mat2& ua,
   }
 }
 
-void ref_apply_diag_1q_pair(cplx* a, std::uint64_t dim, int qa, cplx a0,
-                            cplx a1, int qb, cplx b0, cplx b1) {
-  const std::uint64_t am = 1ULL << qa;
-  const std::uint64_t bm = 1ULL << qb;
-  for (std::uint64_t i = 0; i < dim; ++i) {
-    cplx v = a[i];
-    v *= (i & am) ? a1 : a0;
-    v *= (i & bm) ? b1 : b0;
-    a[i] = v;
-  }
-}
-
-void ref_apply_diag_2q_pair(cplx* a, std::uint64_t dim, int qa, int qb,
-                            const std::array<cplx, 4>& da, int qc, int qd,
-                            const std::array<cplx, 4>& db) {
-  const std::uint64_t am = 1ULL << qa, bm = 1ULL << qb;
-  const std::uint64_t cm = 1ULL << qc, dm = 1ULL << qd;
-  for (std::uint64_t i = 0; i < dim; ++i) {
-    const unsigned ia = ((i & am) ? 1u : 0u) | ((i & bm) ? 2u : 0u);
-    const unsigned ib = ((i & cm) ? 1u : 0u) | ((i & dm) ? 2u : 0u);
-    cplx v = a[i];
-    v *= da[ia];
-    v *= db[ib];
-    a[i] = v;
-  }
-}
-
 void ref_apply_cx_pair(cplx* a, std::uint64_t dim, int c1, int t1, int c2,
                        int t2) {
   const std::uint64_t c1m = 1ULL << c1, t1m = 1ULL << t1;
@@ -244,6 +220,34 @@ charter::math::Mat4 random_mat4(Rng& rng) {
   return u;
 }
 
+/// A run of \p count random diagonal factors on an n-qubit state: the first
+/// on masks (m0, m1), the rest on random positions, one-qubit (m1 = 0) or
+/// two-qubit at random.
+std::vector<ms::DiagFactor> random_run(int n, std::size_t count, Rng& rng,
+                                       std::uint64_t m0, std::uint64_t m1) {
+  std::vector<ms::DiagFactor> f(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    if (k > 0) {
+      const int qa = static_cast<int>(rng.uniform_int(n));
+      const int qb = static_cast<int>(rng.uniform_int(n));
+      m0 = 1ULL << qa;
+      m1 = (qa == qb || rng.uniform() < 0.3) ? 0 : 1ULL << qb;
+    }
+    f[k].m0 = m0;
+    f[k].m1 = m1;
+    f[k].d = random_diag4(rng);
+  }
+  return f;
+}
+
+/// Reference diagonal run: one serial pass per factor.
+void ref_diag_run(cplx* a, std::uint64_t dim,
+                  const std::vector<ms::DiagFactor>& f) {
+  for (const ms::DiagFactor& k : f)
+    for (std::uint64_t i = 0; i < dim; ++i)
+      a[i] *= k.d[((i & k.m0) ? 1u : 0u) | ((i & k.m1) ? 2u : 0u)];
+}
+
 double max_abs_diff(const std::vector<cplx>& a, const std::vector<cplx>& b) {
   double worst = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i)
@@ -295,10 +299,6 @@ void sweep_against_reference(const ms::KernelTable& table, int n, Rng& rng,
       if (qa == qb) continue;
       const Mat2 ua = random_mat2(rng), ub = random_mat2(rng);
       const std::array<cplx, 4> d = random_diag4(rng);
-      const std::array<cplx, 4> da = random_diag4(rng);
-      const std::array<cplx, 4> db = random_diag4(rng);
-      const cplx a0(rng.uniform(-1.0, 1.0), 0.3), a1(0.1, rng.uniform());
-      const cplx b0(rng.uniform(), -0.2), b1(rng.uniform(), 0.7);
       run("apply_cx", [&](cplx* a) { ref_apply_cx(a, dim, qa, qb); },
           [&](cplx* a) { table.apply_cx(a, dim, qa, qb); });
       // Dense 4x4 (fused-wide tape op) — exercised at every (qa, qb)
@@ -314,26 +314,13 @@ void sweep_against_reference(const ms::KernelTable& table, int n, Rng& rng,
       run("apply_1q_pair",
           [&](cplx* a) { ref_apply_1q_pair(a, dim, qa, ua, qb, ub); },
           [&](cplx* a) { table.apply_1q_pair(a, dim, qa, ua, qb, ub); });
-      run("apply_diag_1q_pair",
-          [&](cplx* a) {
-            ref_apply_diag_1q_pair(a, dim, qa, a0, a1, qb, b0, b1);
-          },
-          [&](cplx* a) {
-            table.apply_diag_1q_pair(a, dim, qa, a0, a1, qb, b0, b1);
-          });
-      // Two diagonal pairs, arbitrary (possibly overlapping) supports.
-      const int qc = static_cast<int>(rng.uniform_int(n));
-      int qd = static_cast<int>(rng.uniform_int(n));
-      if (qd == qc) qd = (qc + 1) % n;
-      if (qc != qd) {
-        run("apply_diag_2q_pair",
-            [&](cplx* a) {
-              ref_apply_diag_2q_pair(a, dim, qa, qb, da, qc, qd, db);
-            },
-            [&](cplx* a) {
-              table.apply_diag_2q_pair(a, dim, qa, qb, da, qc, qd, db);
-            });
-      }
+      // Diagonal run: the (qa, qb) factor plus random one- and two-qubit
+      // factors, 1..9 in all, against the reference one-factor passes.
+      const std::vector<ms::DiagFactor> f = random_run(
+          n, 1 + static_cast<std::size_t>(rng.uniform_int(9)), rng,
+          1ULL << qa, 1ULL << qb);
+      run("diag_run", [&](cplx* a) { ref_diag_run(a, dim, f); },
+          [&](cplx* a) { table.diag_run(a, dim, f.data(), f.size()); });
       // Channel blocks: row < col per the vec(rho) layout contract.
       if (qa < qb) {
         const std::uint64_t row = 1ULL << qa;
@@ -454,6 +441,51 @@ TEST(SimdKernels, AllPathsAgreeWithinTolerance) {
             ASSERT_LE(max_abs_diff(want, got), 1e-12)
                 << label << " path=" << table->name << " n=" << n;
           });
+    }
+  }
+}
+
+// On every path a diagonal run is bit-identical to applying its factors one
+// pass at a time, both as one-factor runs and through the plain
+// apply_diag_1q/apply_diag_2q kernels.  Covers factor counts 1..9 and one
+// past a chunk, masks at bits 0, 1 and >= 2, and states down to dim 4 (a
+// one-qubit density matrix), below one vector block on the wide paths.
+TEST(SimdKernels, DiagRunBitIdenticalToOneFactorAtATime) {
+  for (const ms::SimdPath p : {ms::SimdPath::kScalar, ms::SimdPath::kWidth2,
+                               ms::SimdPath::kAvx2, ms::SimdPath::kAvx512}) {
+    if (!ms::path_available(p)) continue;
+    const ms::KernelTable& table =
+        p == ms::SimdPath::kScalar   ? *ms::table_scalar()
+        : p == ms::SimdPath::kWidth2 ? *ms::table_width2()
+        : p == ms::SimdPath::kAvx2   ? *ms::table_avx2()
+                                     : *ms::table_avx512();
+    Rng rng(0xd1a9 + static_cast<std::uint64_t>(p));
+    std::vector<std::size_t> counts = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+    counts.push_back(ms::kDiagRunChunk + 3);
+    for (int n = 2; n <= 8; ++n) {
+      const std::uint64_t dim = 1ULL << n;
+      for (const std::size_t count : counts) {
+        const int qa = static_cast<int>(count % static_cast<std::size_t>(n));
+        const int qb = (qa + 1) % n;
+        const std::vector<ms::DiagFactor> f = random_run(
+            n, count, rng, 1ULL << qa, count % 3 == 0 ? 0 : 1ULL << qb);
+        const std::vector<cplx> start = random_state(dim, rng);
+        std::vector<cplx> run = start, one = start, ops = start;
+        table.diag_run(run.data(), dim, f.data(), f.size());
+        for (const ms::DiagFactor& k : f) {
+          table.diag_run(one.data(), dim, &k, 1);
+          const int q0 = std::countr_zero(k.m0);
+          if (k.m1 == 0)
+            table.apply_diag_1q(ops.data(), dim, q0, k.d[0], k.d[1]);
+          else
+            table.apply_diag_2q(ops.data(), dim, q0, std::countr_zero(k.m1),
+                                k.d);
+        }
+        EXPECT_TRUE(bit_identical(run, one))
+            << table.name << " n=" << n << " count=" << count;
+        EXPECT_TRUE(bit_identical(run, ops))
+            << table.name << " n=" << n << " count=" << count;
+      }
     }
   }
 }

@@ -90,7 +90,7 @@ def check_kernels(path, data):
         if not isinstance(data.get(key), str) or not data[key]:
             ok = fail(path, f"metric '{key}' missing")
     rows = data.get("simd")
-    expected = {"unitary_1q", "unitary_1q_pair", "cx_pair", "diag_1q_pair"}
+    expected = {"unitary_1q", "unitary_1q_pair", "cx_pair", "diag_run"}
     if not isinstance(rows, list) or not rows:
         ok = fail(path, "per-ISA 'simd' rows missing")
         rows = []
@@ -106,7 +106,11 @@ def check_kernels(path, data):
         )
     if expected - seen:
         ok = fail(path, f"per-ISA rows missing kernels: {expected - seen}")
-    for key in ("kernel_pair_speedup", "tape_fused_speedup"):
+    for key in (
+        "kernel_pair_speedup",
+        "diag_run_speedup",
+        "tape_fused_speedup",
+    ):
         ok &= require_number(path, data, key, minimum=0.0)
     ok &= require_number(
         path, data, "fused_max_abs_diff", minimum=0.0, maximum=AGREEMENT_BOUND
@@ -352,24 +356,22 @@ def summarize(path, data):
             f"1q={rows.get('unitary_1q', 0):.2f}x "
             f"1q_pair={rows.get('unitary_1q_pair', 0):.2f}x "
             f"cx_pair={rows.get('cx_pair', 0):.2f}x "
+            f"diag_run={rows.get('diag_run', 0):.2f}x "
+            f"diag_run_vs_per_op={data['diag_run_speedup']:.2f}x "
             f"tape_fused={data['tape_fused_speedup']:.2f}x"
         )
 
 
 def check_file(path):
-    # A missing or empty artifact is the first run of a fresh trend (no
-    # prior history uploaded yet) — seed the baseline instead of failing,
-    # so enabling a new bench leg doesn't gate the very run that would
-    # produce its first data point.  Malformed *content* stays a failure.
+    # A missing or empty artifact fails: CI writes every artifact before
+    # this gate runs, so an absent one means its bench leg did not run.
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
-    except OSError:
-        print(f"check_bench_trend: {path}: no prior history; seeding baseline")
-        return True
+    except OSError as err:
+        return fail(path, f"missing artifact: {err.strerror}")
     if not text.strip():
-        print(f"check_bench_trend: {path}: no prior history; seeding baseline")
-        return True
+        return fail(path, "empty artifact")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
