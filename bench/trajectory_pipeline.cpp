@@ -14,6 +14,13 @@
 //     row's folded distribution must be bit-identical to the 1-thread row
 //     (group folding is index-ordered and the amplitude-parallel sums are
 //     chunk-invariant).
+//  4. fanout: one exec::BatchRunner batch of 6 drifted trajectory jobs x 8
+//     unravellings on 4 pool threads — the shape of a Charter sweep past
+//     the density-matrix limit (tfim16 on ibmq_guadalupe; hlf10 under
+//     --smoke).  Records wall time and CPU utilization (process CPU time
+//     over wall x threads); every unravelling is its own pool task, so the
+//     pool stays busy although 6 jobs do not divide over 4 threads.  Each
+//     job must be bit-identical to its own run_trajectories average.
 //
 // Both rows assert exact-vs-fused-wide agreement <= 1e-12 on the folded
 // distribution, so every bench run doubles as an equivalence check at a
@@ -26,6 +33,8 @@
 //                                  [--rounds N] [--reps N] [--smoke]
 //                                  [--out PATH]
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -37,15 +46,21 @@
 #include <omp.h>
 #endif
 
+#include "algos/registry.hpp"
+#include "backend/backend.hpp"
 #include "bench/common.hpp"
 #include "circuit/circuit.hpp"
+#include "core/reversal.hpp"
+#include "exec/batch.hpp"
 #include "math/simd_dispatch.hpp"
 #include "noise/calibration.hpp"
+#include "noise/executor.hpp"
 #include "noise/program.hpp"
 #include "sim/trajectory.hpp"
 #include "util/cli.hpp"
 #include "util/timer.hpp"
 
+namespace cb = charter::backend;
 namespace cc = charter::circ;
 namespace cn = charter::noise;
 namespace cs = charter::sim;
@@ -156,6 +171,91 @@ void append_row(std::string& json, const char* name, const SweepRow& row) {
   json += buf;
 }
 
+/// Process CPU time (user + system) in seconds.
+double process_cpu_seconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         1e-6 * static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
+}
+
+struct FanoutRow {
+  int jobs = 0;
+  int threads = 0;
+  double wall_ms = 0.0;
+  double cpu_util = 0.0;
+  bool bit_identical = true;
+};
+
+/// One BatchRunner batch of \p num_jobs drifted trajectory jobs (the
+/// original circuit plus reversed-pair insertions at spread-out gates).
+FanoutRow bench_fanout(const std::string& algo, int num_jobs,
+                       int trajectories, int threads) {
+  const cb::FakeBackend backend = cb::FakeBackend::guadalupe(16);
+  const cb::CompiledProgram program =
+      backend.compile(charter::algos::find_benchmark(algo).build());
+  const std::vector<std::size_t> eligible =
+      charter::core::reversible_ops(program.physical, true);
+  std::vector<cb::CompiledProgram> programs(
+      static_cast<std::size_t>(num_jobs), program);
+  std::vector<charter::exec::AnalysisJob> jobs;
+  for (int k = 0; k < num_jobs; ++k) {
+    cb::CompiledProgram& p = programs[static_cast<std::size_t>(k)];
+    if (k > 0 && !eligible.empty())
+      p.physical = charter::core::insert_reversed_pairs(
+          program.physical,
+          eligible[static_cast<std::size_t>(k) * eligible.size() /
+                   static_cast<std::size_t>(num_jobs)],
+          5, true);
+    charter::exec::AnalysisJob job;
+    job.program = &p;
+    job.run.shots = 0;
+    job.run.seed = 2022 + static_cast<std::uint64_t>(k);
+    job.run.drift = 0.06;
+    job.run.engine = cb::EngineKind::kTrajectory;
+    job.run.trajectories = trajectories;
+    jobs.push_back(job);
+  }
+
+  charter::exec::BatchOptions options;
+  options.caching = false;
+  options.threads = threads;
+  const charter::exec::BatchRunner runner(backend, options);
+  const double cpu0 = process_cpu_seconds();
+  charter::util::Timer timer;
+  const std::vector<std::vector<double>> got = runner.run(jobs);
+  const double wall = timer.seconds();
+  const double cpu = process_cpu_seconds() - cpu0;
+
+  FanoutRow row;
+  row.jobs = num_jobs;
+  row.threads = threads;
+  row.wall_ms = 1e3 * wall;
+  row.cpu_util = wall > 0.0 ? cpu / (wall * threads) : 0.0;
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    const cb::LoweredRun lowered = backend.lower(*jobs[k].program, jobs[k].run);
+    const cn::NoiseProgram tape =
+        cn::NoisyExecutor(lowered.model).lower(lowered.local);
+    const std::vector<double> expected = backend.finalize(
+        cs::run_trajectories(
+            lowered.local.num_qubits(), trajectories,
+            jobs[k].run.seed ^ cb::kTrajectorySeedSalt,
+            [&](cs::NoisyEngine& engine) { tape.execute(engine); }),
+        lowered, *jobs[k].program, jobs[k].run);
+    row.bit_identical =
+        row.bit_identical && got[k].size() == expected.size() &&
+        std::memcmp(got[k].data(), expected.data(),
+                    expected.size() * sizeof(double)) == 0;
+  }
+  std::fprintf(stderr,
+               "note: fanout — %s, %d jobs x %d trajectories on %d threads: "
+               "%.1f ms, cpu_util %.2f, %s\n",
+               algo.c_str(), num_jobs, trajectories, threads, row.wall_ms,
+               row.cpu_util,
+               row.bit_identical ? "bit-identical" : "MISMATCH");
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -247,7 +347,21 @@ int main(int argc, char** argv) {
 #ifdef _OPENMP
   omp_set_num_threads(max_omp);
 #endif
-  json += "\n  ]\n}\n";
+  json += "\n  ],\n";
+
+  const FanoutRow fan = bench_fanout(smoke ? "hlf10" : "tfim16", /*jobs=*/6,
+                                     /*trajectories=*/8, /*threads=*/4);
+  {
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "  \"fanout\": {\"jobs\": %d, \"trajectories\": 8, "
+                  "\"threads\": %d, \"wall_ms\": %.3f, \"cpu_util\": %.3f, "
+                  "\"bit_identical\": %s}\n",
+                  fan.jobs, fan.threads, fan.wall_ms, fan.cpu_util,
+                  fan.bit_identical ? "true" : "false");
+    json += buf;
+  }
+  json += "}\n";
   std::fputs(json.c_str(), stdout);
   charter::bench::write_output_file(cli.get_string("out"), json);
 
@@ -258,6 +372,12 @@ int main(int argc, char** argv) {
   if (!threads_ok) {
     std::fprintf(stderr,
                  "FAIL: thread count changed the folded distribution\n");
+    return 1;
+  }
+  if (!fan.bit_identical) {
+    std::fprintf(stderr,
+                 "FAIL: a fanout job differs from its run_trajectories "
+                 "average\n");
     return 1;
   }
   if (coh.tape_ops_fused_wide >= coh.tape_ops_exact) {

@@ -562,11 +562,11 @@ std::vector<std::vector<double>> BatchRunner::run(
 
   if (!plain_idx.empty()) {
     const auto plain_t0 = std::chrono::steady_clock::now();
-    // Independent full runs.  Trajectory jobs fan their unravelling groups
-    // out as individual pool tasks — a two-job batch with 48 trajectories
-    // each still saturates the pool — and fold in group order, which is the
-    // exact reduction run_trajectories performs; everything else runs one
-    // job per task.
+    // Independent full runs.  Trajectory jobs fan their unravellings out
+    // as individual pool tasks — a two-job batch of 8 trajectories each
+    // still saturates the pool — and fold through sim::TrajectoryFold,
+    // which is the exact reduction run_trajectories performs; everything
+    // else runs one job per task.
     std::vector<std::size_t> traj_plain;
     std::vector<std::size_t> other_plain;
     for (const std::size_t i : plain_idx) {
@@ -595,7 +595,7 @@ std::vector<std::vector<double>> BatchRunner::run(
       struct TrajRun {
         std::optional<backend::LoweredRun> lowered;
         noise::NoiseProgram tape{0};
-        std::vector<std::vector<double>> partial;
+        std::optional<sim::TrajectoryFold> fold;
       };
       std::vector<TrajRun> runs(traj_plain.size());
       // Phase 1: lower every job's tape (one task per job).
@@ -614,84 +614,78 @@ std::vector<std::vector<double>> BatchRunner::run(
                          : noise::OptLevel::kExact,
                      backend::resolve_fusion_width(jobs[i].run));
                  r.tape = executor.lower(r.lowered->local);
-                 r.partial.resize(static_cast<std::size_t>(
-                     sim::num_trajectory_groups(jobs[i].run.trajectories)));
+                 r.fold.emplace(jobs[i].run.trajectories);
                }, cancel);
       throw_if_cancelled();
-      // Phase 2: every (job, trajectory-group) pair is one task.  The fold
-      // (phase 3) merges partials in group index order, so it cannot tell
-      // which process produced which group.
-      std::vector<std::pair<std::size_t, int>> units;
-      for (std::size_t k = 0; k < traj_plain.size(); ++k)
-        for (std::size_t g = 0; g < runs[k].partial.size(); ++g)
-          units.emplace_back(k, static_cast<int>(g));
+      const auto seed_of = [&](std::size_t k) {
+        return jobs[traj_plain[k]].run.seed ^ backend::kTrajectorySeedSalt;
+      };
+      // Phase 2: the unravellings, folded per job in index order by the
+      // job's TrajectoryFold, so the result cannot tell which thread or
+      // process produced which part.
       if (options_.workers > 0) {
         // Multi-process: ship each job's lowered tape (serialized once)
-        // with a (begin, end, seed) assignment; the child re-runs
+        // with a (begin, end, seed) fold-group assignment; the child re-runs
         // run_trajectory_group with an identically seeded Rng, so the
         // partial sums carry the exact bits an in-process group produces.
+        std::vector<std::pair<std::size_t, int>> units;
+        for (std::size_t k = 0; k < traj_plain.size(); ++k)
+          for (int g = 0; g < sim::num_trajectory_groups(
+                                  jobs[traj_plain[k]].run.trajectories);
+               ++g)
+            units.emplace_back(k, g);
         std::vector<std::vector<std::uint8_t>> tapes(traj_plain.size());
         for (std::size_t k = 0; k < traj_plain.size(); ++k)
           tapes[k] = noise::serialize_tape(runs[k].tape);
         run_drivers(units.size(),
                     [&](std::size_t u, int /*w*/, WorkerProcess& wp) {
           const auto [k, g] = units[u];
-          const std::size_t i = traj_plain[k];
           TrajRun& r = runs[k];
-          const int total = jobs[i].run.trajectories;
+          const int total = jobs[traj_plain[k]].run.trajectories;
           const int begin = g * sim::kTrajectoryGroupSize;
           const int end = std::min(begin + sim::kTrajectoryGroupSize, total);
-          const std::uint64_t seed =
-              jobs[i].run.seed ^ backend::kTrajectorySeedSalt;
           std::optional<std::vector<double>> res;
           if (wp.alive()) {
-            res = wp.run_trajectory_group(tapes[k], begin, end, seed);
+            res = wp.run_trajectory_group(tapes[k], begin, end, seed_of(k));
             if (res) mp_units.fetch_add(1, std::memory_order_relaxed);
             else note_worker_miss(wp);
           }
-          if (res) {
-            r.partial[static_cast<std::size_t>(g)] = std::move(*res);
-          } else {
-            const util::Rng seeder(seed);
-            r.partial[static_cast<std::size_t>(g)] =
-                sim::run_trajectory_group(
-                    r.lowered->local.num_qubits(), begin, end, seeder,
-                    [&](sim::NoisyEngine& engine) { r.tape.execute(engine); });
+          if (!res) {
+            res = sim::run_trajectory_group(
+                r.lowered->local.num_qubits(), begin, end,
+                util::Rng(seed_of(k)),
+                [&](sim::NoisyEngine& engine) { r.tape.execute(engine); });
           }
+          r.fold->add_group(g, std::move(*res));
         });
       } else {
+        // In-process: every (job, unravelling) pair is one pool task, so a
+        // batch keeps every worker busy even when it has fewer jobs than
+        // workers or a job count that does not divide evenly.
+        std::vector<std::pair<std::size_t, int>> units;
+        for (std::size_t k = 0; k < traj_plain.size(); ++k)
+          for (int t = 0; t < jobs[traj_plain[k]].run.trajectories; ++t)
+            units.emplace_back(k, t);
         pool().run(static_cast<std::int64_t>(units.size()),
                  [&](std::int64_t u, int /*worker*/) {
-                   const auto [k, g] = units[static_cast<std::size_t>(u)];
-                   const std::size_t i = traj_plain[k];
+                   const auto [k, t] = units[static_cast<std::size_t>(u)];
                    TrajRun& r = runs[k];
-                   const int total = jobs[i].run.trajectories;
-                   const int begin = g * sim::kTrajectoryGroupSize;
-                   const int end =
-                       std::min(begin + sim::kTrajectoryGroupSize, total);
-                   const util::Rng seeder(jobs[i].run.seed ^
-                                          backend::kTrajectorySeedSalt);
-                   r.partial[static_cast<std::size_t>(g)] =
-                       sim::run_trajectory_group(
-                           r.lowered->local.num_qubits(), begin, end, seeder,
-                           [&](sim::NoisyEngine& engine) {
-                             r.tape.execute(engine);
-                           });
+                   sim::TrajectoryEngine engine(
+                       r.lowered->local.num_qubits(),
+                       sim::trajectory_engine_seed(util::Rng(seed_of(k)), t));
+                   r.tape.execute(engine);
+                   r.fold->add(t, engine.probabilities());
                  }, cancel);
       }
       throw_if_cancelled();
-      // Phase 3: fold in group order and finalize (one task per job).
+      // Phase 3: fold and finalize (one task per job).
       pool().run(static_cast<std::int64_t>(traj_plain.size()),
                [&](std::int64_t k, int /*worker*/) {
                  const std::size_t i =
                      traj_plain[static_cast<std::size_t>(k)];
                  TrajRun& r = runs[static_cast<std::size_t>(k)];
-                 const std::uint64_t dim = std::uint64_t{1}
-                                           << r.lowered->local.num_qubits();
-                 results[i] = backend_.finalize(
-                     sim::fold_trajectory_groups(r.partial, dim,
-                                                 jobs[i].run.trajectories),
-                     *r.lowered, *jobs[i].program, jobs[i].run);
+                 results[i] = backend_.finalize(r.fold->finish(), *r.lowered,
+                                                *jobs[i].program, jobs[i].run);
                  notify_done(i);
                }, cancel);
       throw_if_cancelled();

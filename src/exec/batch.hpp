@@ -12,7 +12,7 @@
 /// written by submission index so the reduction order never depends on
 /// completion order.  The numbers are bit-identical at every thread count:
 /// task bodies run with nested util::parallel_* forced serial, and
-/// trajectory averages fold in fixed index-ordered groups.  On top of the
+/// trajectory averages fold in trajectory-index order within fixed groups.  On top of the
 /// scheduling, two accelerations the per-run backend API cannot give:
 ///
 ///  - prefix-state checkpointing (checkpoint.hpp): when jobs declare a
@@ -34,9 +34,9 @@
 /// calibration, differing qubit footprints, mismatched trajectory seeds, or
 /// a tape optimization level differing from the batch's sharers) fall back
 /// to independent full runs on the same pool — trajectory full runs fan
-/// their unravelling groups out as individual tasks; every exact-mode
-/// result is bit-identical to a standalone FakeBackend::run with the same
-/// options.  Fused-mode
+/// every unravelling out as its own task and fold through
+/// sim::TrajectoryFold; every exact-mode result is bit-identical to a
+/// standalone FakeBackend::run with the same options.  Fused-mode
 /// (RunOptions::opt == OptLevel::kFused) checkpointed results agree with
 /// standalone fused runs to the fusion tolerance (~1e-12): resumed suffixes
 /// fuse from the snapshot position while a standalone run fuses the whole
@@ -88,7 +88,7 @@ struct BatchOptions {
   /// serves one run() at a time — callers multiplex at job granularity.
   util::ThreadPool* pool = nullptr;
   /// Multi-process sweep sharding: > 0 fans checkpoint-segment shards and
-  /// trajectory groups out to that many `charter worker` child processes
+  /// trajectory fold groups out to that many `charter worker` child processes
   /// over serialized tapes and snapshots (exec/worker.hpp).  0 (default)
   /// keeps everything in-process.  Results are bit-identical at every
   /// worker count — the payloads carry raw double bits and the reduction

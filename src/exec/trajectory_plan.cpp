@@ -7,11 +7,11 @@
 #include "backend/backend.hpp"
 #include "exec/checkpoint.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace charter::exec {
 
 using noise::NoisyExecutor;
-using sim::kTrajectoryGroupSize;
 
 TrajectoryCheckpointPlan::TrajectoryCheckpointPlan(
     const NoisyExecutor& executor, circ::Circuit base,
@@ -22,7 +22,7 @@ TrajectoryCheckpointPlan::TrajectoryCheckpointPlan(
       base_(std::move(base)),
       base_stream_(executor.make_stream(base_)),
       num_trajectories_(num_trajectories),
-      seeder_(run_seed ^ backend::kTrajectorySeedSalt) {
+      seed_(run_seed ^ backend::kTrajectorySeedSalt) {
   // kFused reorders the stochastic draws, which would desynchronize the
   // snapshot RNG streams; kFusedWide keeps channels as in-order barriers,
   // so shared suffixes may run fused-wide (run_shared re-optimizes the
@@ -60,52 +60,32 @@ TrajectoryCheckpointPlan::TrajectoryCheckpointPlan(
   }
 
   // Sweep the base once per unravelling, cloning at every kept fork point.
-  // Fan the fold groups over the pool; the group partials merge in index
-  // order, so the base distribution is thread-count-independent.
-  const std::uint64_t dim = std::uint64_t{1} << base_.num_qubits();
-  const int num_groups = sim::num_trajectory_groups(num_trajectories_);
-  std::vector<std::vector<double>> partial(
-      static_cast<std::size_t>(num_groups));
-  pool.run(num_groups, [&](std::int64_t g, int /*worker*/) {
-    const int begin = static_cast<int>(g) * kTrajectoryGroupSize;
-    const int end =
-        std::min(begin + kTrajectoryGroupSize, num_trajectories_);
-    std::vector<double>& local = partial[static_cast<std::size_t>(g)];
-    local.assign(dim, 0.0);
-    for (int t = begin; t < end; ++t) {
-      sim::TrajectoryEngine engine(
-          base_.num_qubits(), sim::trajectory_engine_seed(seeder_, t));
-      std::size_t pos = 0;
-      for (Checkpoint& cp : checkpoints_) {
-        tape.run(engine, pos, cp.tape_pos);
-        pos = cp.tape_pos;
-        cp.engines[static_cast<std::size_t>(t)] = engine.clone();
-      }
-      tape.run(engine, pos, tape.size());
-      const std::vector<double> p = engine.probabilities();
-      for (std::uint64_t i = 0; i < dim; ++i) local[i] += p[i];
+  // Every unravelling is one pool task; the fold sums them in index order,
+  // so the base distribution is thread-count-independent.
+  const util::Rng seeder(seed_);
+  sim::TrajectoryFold fold(num_trajectories_);
+  pool.run(num_trajectories_, [&](std::int64_t t, int /*worker*/) {
+    sim::TrajectoryEngine engine(
+        base_.num_qubits(),
+        sim::trajectory_engine_seed(seeder, static_cast<int>(t)));
+    std::size_t pos = 0;
+    for (Checkpoint& cp : checkpoints_) {
+      tape.run(engine, pos, cp.tape_pos);
+      pos = cp.tape_pos;
+      cp.engines[static_cast<std::size_t>(t)] = engine.clone();
     }
+    tape.run(engine, pos, tape.size());
+    fold.add(static_cast<int>(t), engine.probabilities());
   });
-  base_probs_ =
-      sim::fold_trajectory_groups(partial, dim, num_trajectories_);
+  base_probs_ = fold.finish();
 }
 
 std::vector<double> TrajectoryCheckpointPlan::run_cold(
     const circ::Circuit& c) const {
   const noise::NoiseProgram tape = executor_.lower(c);
-  const std::uint64_t dim = std::uint64_t{1} << c.num_qubits();
-  const int num_groups = sim::num_trajectory_groups(num_trajectories_);
-  std::vector<std::vector<double>> partial(
-      static_cast<std::size_t>(num_groups));
-  for (int g = 0; g < num_groups; ++g) {
-    const int begin = g * kTrajectoryGroupSize;
-    const int end =
-        std::min(begin + kTrajectoryGroupSize, num_trajectories_);
-    partial[static_cast<std::size_t>(g)] = sim::run_trajectory_group(
-        c.num_qubits(), begin, end, seeder_,
-        [&](sim::NoisyEngine& engine) { tape.execute(engine); });
-  }
-  return sim::fold_trajectory_groups(partial, dim, num_trajectories_);
+  return sim::run_trajectories(
+      c.num_qubits(), num_trajectories_, seed_,
+      [&](sim::NoisyEngine& engine) { tape.execute(engine); });
 }
 
 std::vector<double> TrajectoryCheckpointPlan::run_shared(
@@ -144,28 +124,17 @@ std::vector<double> TrajectoryCheckpointPlan::run_shared(
       executor_.level() == noise::OptLevel::kFusedWide
           ? noise::fused_wide(*spliced, resume_pos)
           : std::move(*spliced);
-  const std::uint64_t dim = std::uint64_t{1} << c.num_qubits();
-  const int num_groups = sim::num_trajectory_groups(num_trajectories_);
-  std::vector<std::vector<double>> partial(
-      static_cast<std::size_t>(num_groups));
-  for (int g = 0; g < num_groups; ++g) {
-    const int begin = g * kTrajectoryGroupSize;
-    const int end =
-        std::min(begin + kTrajectoryGroupSize, num_trajectories_);
-    std::vector<double>& local = partial[static_cast<std::size_t>(g)];
-    local.assign(dim, 0.0);
-    for (int t = begin; t < end; ++t) {
-      const std::unique_ptr<sim::NoisyEngine> engine =
-          snapshot->engines[static_cast<std::size_t>(t)]->clone();
-      tape.run(*engine, resume_pos, tape.size());
-      const std::vector<double> p = engine->probabilities();
-      for (std::uint64_t i = 0; i < dim; ++i) local[i] += p[i];
-    }
+  sim::TrajectoryFold fold(num_trajectories_);
+  for (int t = 0; t < num_trajectories_; ++t) {
+    const std::unique_ptr<sim::NoisyEngine> engine =
+        snapshot->engines[static_cast<std::size_t>(t)]->clone();
+    tape.run(*engine, resume_pos, tape.size());
+    fold.add(t, engine->probabilities());
   }
   replayed_ops_.fetch_add(prefix_len - snapshot->prefix_len,
                           std::memory_order_relaxed);
   resumed_.fetch_add(1, std::memory_order_relaxed);
-  return sim::fold_trajectory_groups(partial, dim, num_trajectories_);
+  return fold.finish();
 }
 
 }  // namespace charter::exec

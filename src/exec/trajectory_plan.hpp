@@ -22,11 +22,10 @@
 /// variance reduction: per-gate TVDs compare distributions that share their
 /// sampling noise).
 ///
-/// The base sweep fans the trajectories out over the worker pool in
-/// kTrajectoryGroupSize fold groups; every averaged distribution — the base
-/// run and each resumed derived run — is folded in trajectory-index order
-/// (sim::fold_trajectory_groups), so results never depend on the thread
-/// count.  Snapshots cost num_trajectories statevectors per fork point
+/// The base sweep fans the unravellings out over the worker pool, one task
+/// each; every averaged distribution — the base run and each resumed
+/// derived run — is folded in trajectory-index order (sim::TrajectoryFold),
+/// so results never depend on the thread count.  Snapshots cost num_trajectories statevectors per fork point
 /// (16 bytes * 2^n each — far cheaper than one 4^n density matrix for small
 /// trajectory counts); when the requested fork points exceed the memory
 /// budget an evenly spaced deep-biased subset is kept and the gap is
@@ -34,12 +33,12 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "noise/executor.hpp"
 #include "sim/trajectory.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace charter::exec {
@@ -54,7 +53,7 @@ class TrajectoryCheckpointPlan {
   /// engine after every prefix length in \p prefix_lens (deduped; capped by
   /// \p memory_budget_bytes).  \p run_seed is the jobs' shared
   /// RunOptions::seed; the plan derives the same per-trajectory engine
-  /// seeds FakeBackend::run would.  The sweep's trajectory groups are
+  /// seeds FakeBackend::run would.  The sweep's unravellings are
   /// distributed over \p pool.  The executor must outlive the plan.
   TrajectoryCheckpointPlan(const noise::NoisyExecutor& executor,
                            circ::Circuit base,
@@ -105,7 +104,7 @@ class TrajectoryCheckpointPlan {
   circ::Circuit base_;
   noise::NoisyExecutor::Stream base_stream_;  ///< exact tape + resume records
   int num_trajectories_;
-  util::Rng seeder_;                     ///< salted family root
+  std::uint64_t seed_;                   ///< salted family root seed
   std::vector<Checkpoint> checkpoints_;  ///< ascending prefix_len
   std::vector<double> base_probs_;
   mutable std::atomic<std::size_t> resumed_{0};

@@ -136,8 +136,7 @@ namespace {
 
 /// Shared interpreter body.  Instantiated for the abstract interface
 /// (virtual dispatch, any engine) and for the concrete final density-matrix
-/// engine, where every apply_* call devirtualizes into a single pair-kernel
-/// pass over vec(rho).
+/// and trajectory engines, where every apply_* call devirtualizes.
 template <typename Engine>
 void run_impl(const NoiseProgram& p, Engine& engine, std::size_t begin,
               std::size_t end) {
@@ -183,27 +182,17 @@ void run_impl(const NoiseProgram& p, Engine& engine, std::size_t begin,
   }
 }
 
-}  // namespace
-
-void NoiseProgram::run(sim::NoisyEngine& engine, std::size_t begin,
-                       std::size_t end) const {
-  // A density-matrix engine handed in through the interface still deserves
-  // the devirtualized, run-grouping path; the cast costs one check per
-  // region, not per op.
-  if (auto* dm = dynamic_cast<sim::DensityMatrixEngine*>(&engine)) {
-    run(*dm, begin, end);
-    return;
-  }
-  run_impl<sim::NoisyEngine>(*this, engine, begin, end);
-}
-
-void NoiseProgram::run(sim::DensityMatrixEngine& engine, std::size_t begin,
-                       std::size_t end) const {
-  // Each maximal run of consecutive diagonal ops inside [begin, end) becomes
-  // one diag_run pass (chunked at kDiagRunChunk factors).  Every element
-  // gets the same multiply sequence as op-by-op execution, so the result is
-  // bit-identical however a region boundary splits a run.
+/// The run-grouping interpreter for the final engines: each maximal run of
+/// consecutive diagonal ops inside [begin, end) becomes one diag_run pass
+/// (chunked at kDiagRunChunk factors, Engine::kDiagFactorsPerOp per op);
+/// every other op goes through run_impl.  Every element gets the same
+/// multiply sequence as op-by-op execution, so the result is bit-identical
+/// however a region boundary splits a run.
+template <typename Engine>
+void run_grouped(const NoiseProgram& p, Engine& engine, std::size_t begin,
+                 std::size_t end) {
   constexpr std::size_t kCap = math::simd::kDiagRunChunk;
+  constexpr std::size_t kPerOp = Engine::kDiagFactorsPerOp;
   math::simd::DiagFactor f[kCap];
   std::size_t n = 0;
   const auto flush = [&] {
@@ -211,18 +200,46 @@ void NoiseProgram::run(sim::DensityMatrixEngine& engine, std::size_t begin,
     n = 0;
   };
   for (std::size_t i = begin; i < end; ++i) {
-    const TapeOp& op = ops_[i];
+    const TapeOp& op = p.op(i);
     const bool one = op.kind == TapeOpKind::kDiag1q;
     if (!one && op.kind != TapeOpKind::kDiag2q) {
       flush();
-      run_impl(*this, engine, i, i + 1);
+      run_impl(p, engine, i, i + 1);
       continue;
     }
-    if (n + 2 > kCap) flush();
-    engine.diag_factors(diags_[op.payload], op.q0, one ? -1 : op.q1, f + n);
-    n += 2;
+    if (n + kPerOp > kCap) flush();
+    engine.diag_factors(p.diag(op.payload), op.q0, one ? -1 : op.q1, f + n);
+    n += kPerOp;
   }
   flush();
+}
+
+}  // namespace
+
+void NoiseProgram::run(sim::NoisyEngine& engine, std::size_t begin,
+                       std::size_t end) const {
+  // The final engines handed in through the interface still deserve the
+  // devirtualized, run-grouping path; the casts cost one check per region,
+  // not per op.
+  if (auto* dm = dynamic_cast<sim::DensityMatrixEngine*>(&engine)) {
+    run(*dm, begin, end);
+    return;
+  }
+  if (auto* traj = dynamic_cast<sim::TrajectoryEngine*>(&engine)) {
+    run(*traj, begin, end);
+    return;
+  }
+  run_impl<sim::NoisyEngine>(*this, engine, begin, end);
+}
+
+void NoiseProgram::run(sim::DensityMatrixEngine& engine, std::size_t begin,
+                       std::size_t end) const {
+  run_grouped(*this, engine, begin, end);
+}
+
+void NoiseProgram::run(sim::TrajectoryEngine& engine, std::size_t begin,
+                       std::size_t end) const {
+  run_grouped(*this, engine, begin, end);
 }
 
 void NoiseProgram::execute(sim::NoisyEngine& engine) const {

@@ -11,8 +11,9 @@
 /// thermal-relaxation, depolarizing, bit-flip, kraus) with every schedule-
 /// and calibration-derived parameter resolved at lowering time.  Execution is
 /// then a tight interpreter loop; on the density-matrix engine it dispatches
-/// devirtualized single-pass pair kernels (sim/kernels.hpp) and executes each
-/// run of consecutive diagonal ops as one diag_run pass.  The kernels run on
+/// devirtualized single-pass pair kernels (sim/kernels.hpp), and on both the
+/// density-matrix and the trajectory engine it executes each run of
+/// consecutive diagonal ops as one diag_run pass.  The kernels run on
 /// the SIMD path selected at process start (math/simd_dispatch.hpp) —
 /// AVX-512, AVX2+FMA, SSE2/NEON, or scalar — so tape interpretation inherits
 /// the vectorized kernels at no per-op cost beyond one table load.
@@ -61,6 +62,7 @@
 #include "noise/noise_model.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/engine.hpp"
+#include "sim/trajectory.hpp"
 
 namespace charter::noise {
 
@@ -138,16 +140,20 @@ class NoiseProgram {
   /// Interprets ops [begin, end) against any engine (virtual dispatch).
   void run(sim::NoisyEngine& engine, std::size_t begin, std::size_t end) const;
 
-  /// Density-matrix fast path: the same interpretation through the concrete
-  /// (final, devirtualized) engine.  Each maximal run of consecutive
-  /// kDiag1q/kDiag2q ops in the region is one diag_run pass over vec(rho);
-  /// every other op is one pair-kernel pass.  Bit-identical to op-by-op
-  /// execution, wherever the region boundaries fall.
+  /// Fast paths for the final engines: the same interpretation through the
+  /// concrete (devirtualized) engine.  Each maximal run of consecutive
+  /// kDiag1q/kDiag2q ops in the region is one diag_run pass — two factors
+  /// per op over vec(rho) (row, then conjugated column), one per op over
+  /// the trajectory statevector; every other op is one kernel pass.
+  /// Bit-identical to op-by-op execution, wherever the region boundaries
+  /// fall.
   void run(sim::DensityMatrixEngine& engine, std::size_t begin,
+           std::size_t end) const;
+  void run(sim::TrajectoryEngine& engine, std::size_t begin,
            std::size_t end) const;
 
   /// Full execution from |0...0>: resets the engine and runs the whole tape,
-  /// routing density-matrix engines through the fast path.  The engine width
+  /// routing density-matrix and trajectory engines through the fast paths.  The engine width
   /// must match the program width.
   void execute(sim::NoisyEngine& engine) const;
 

@@ -63,6 +63,10 @@ class DensityMatrixEngine final : public NoisyEngine {
 
   std::unique_ptr<NoisyEngine> clone() const override;
 
+  /// Diagonal factors one diagonal op contributes to a run: two on vec(rho)
+  /// (the trajectory engine takes one).
+  static constexpr std::size_t kDiagFactorsPerOp = 2;
+
   /// Writes the two vec(rho) factors of the diagonal \p d on (qa, qb) to
   /// out[0..1]: d on the row pseudo-qubits, then conj(d) on the column
   /// pseudo-qubits.  qb < 0 marks a one-qubit diagonal diag(d[0], d[1]) on

@@ -28,9 +28,11 @@
 /// Diagonal runs.  Diagonal updates (RZ, static-ZZ flushes, CX ZZ, drive
 /// crosstalk) go further: diag_run applies any number of diagonal factors in
 /// one pass, each element multiplied by every factor in order.  A diagonal
-/// density-matrix op is a 2-factor run (row, then conjugated column), and
-/// the NoiseProgram tape interpreter (noise/program.hpp) folds each maximal
-/// run of consecutive diagonal tape ops into one call.
+/// density-matrix op is a 2-factor run (row, then conjugated column), a
+/// diagonal trajectory op (and the trajectory engine's no-jump K0 and Z
+/// Pauli) a 1-factor run, and the NoiseProgram tape interpreter
+/// (noise/program.hpp) folds each maximal run of consecutive diagonal tape
+/// ops into one call on both engines.
 ///
 /// Iteration order is cache-blocked by construction: groups are enumerated
 /// by inserting zero bits into an ascending counter, so the 2 (or 4) strided

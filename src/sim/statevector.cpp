@@ -157,27 +157,51 @@ std::vector<double> Statevector::probabilities() const {
   return p;
 }
 
+namespace {
+
+/// Sums terms [0, n) with \p range_sum in a fixed association: serial index
+/// order below the amplitude-parallelism threshold (the order a pool worker
+/// or a one-thread run produces), the thread-count-invariant chunked sum
+/// above it.  Either way the result never depends on the thread count, on or
+/// off a pool, so a trajectory's renormalizations are the same bits
+/// wherever it runs.
+template <typename RangeSum>
+double fixed_order_sum(int num_qubits, std::uint64_t n, RangeSum range_sum) {
+  const auto len = static_cast<std::int64_t>(n);
+  if (num_qubits >= amp_parallel_min_qubits())
+    return util::parallel_sum_chunked(len, range_sum);
+  return range_sum(std::int64_t{0}, len);
+}
+
+}  // namespace
+
 double Statevector::probability_one(int q) const {
   const std::uint64_t mask = 1ULL << q;
   const cplx* a = amps_.data();
-  const auto term = [=](std::int64_t i) {
-    return (static_cast<std::uint64_t>(i) & mask) ? std::norm(a[i]) : 0.0;
-  };
-  // Above the amplitude-parallelism threshold the trajectory groups run
-  // serially and this reduction may fan out over threads, so it must use the
-  // thread-count-invariant chunked sum to keep per-path bit-determinism.
-  if (num_qubits_ >= amp_parallel_min_qubits())
-    return util::parallel_sum_chunked(static_cast<std::int64_t>(dim()), term);
-  return util::parallel_sum(static_cast<std::int64_t>(dim()), term);
+  // Only the bit-q = 1 half contributes: the full loop's other terms are
+  // exact +0.0, so visiting just the set-bit indices in index order (within
+  // the same chunks) gives the full loop's sum bit for bit at half the reads.
+  // Chunk starts are multiples of a power of two, so b | mask is the first
+  // set-bit index at or past b, and (i + 1) | mask steps to the next one.
+  return fixed_order_sum(num_qubits_, dim(), [=](std::int64_t b,
+                                                 std::int64_t e) {
+    double s = 0.0;
+    const auto end = static_cast<std::uint64_t>(e);
+    for (std::uint64_t i = static_cast<std::uint64_t>(b) | mask; i < end;
+         i = (i + 1) | mask)
+      s += std::norm(a[i]);
+    return s;
+  });
 }
 
 double Statevector::norm_sq() const {
   const cplx* a = amps_.data();
-  if (num_qubits_ >= amp_parallel_min_qubits())
-    return util::parallel_sum_chunked(
-        static_cast<std::int64_t>(dim()),
-        [=](std::int64_t i) { return std::norm(a[i]); });
-  return kernels::norm_sq(amps_.data(), dim());
+  return fixed_order_sum(num_qubits_, dim(), [=](std::int64_t b,
+                                                 std::int64_t e) {
+    double s = 0.0;
+    for (std::int64_t i = b; i < e; ++i) s += std::norm(a[i]);
+    return s;
+  });
 }
 
 void Statevector::normalize() {

@@ -17,11 +17,11 @@
 namespace charter::sim {
 
 /// Width (in qubits) at and above which the statevector/trajectory engines
-/// switch to *amplitude-level* parallelism: trajectory groups run serially
-/// so the O(2^n) kernels may fan out over OpenMP instead, and state
-/// reductions (norm, marginals) use the thread-count-invariant chunked sum.
-/// Below the threshold everything behaves exactly as before — per-job/
-/// per-group parallelism with serial kernels.  Default 20; override with
+/// switch to *amplitude-level* parallelism: unravellings run serially so
+/// the O(2^n) kernels may fan out over OpenMP instead, and state reductions
+/// (norm, marginals) use the thread-count-invariant chunked sum.  Below the
+/// threshold the parallelism is per job and per unravelling, kernels stay
+/// serial, and reductions sum in serial index order on every thread.  Default 20; override with
 /// CHARTER_AMP_PARALLEL_MIN_QUBITS (read once at first use).
 int amp_parallel_min_qubits();
 
@@ -66,7 +66,9 @@ class Statevector {
   /// Measurement probabilities |amp_k|^2 for all 2^n outcomes.
   std::vector<double> probabilities() const;
 
-  /// Probability of measuring qubit \p q as 1.
+  /// Probability of measuring qubit \p q as 1.  Sums only the bit-q = 1
+  /// amplitudes, in index order; like norm_sq(), the association depends on
+  /// the width alone, never on the thread count.
   double probability_one(int q) const;
 
   /// Squared norm (should stay 1 under unitary evolution).

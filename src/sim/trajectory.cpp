@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <utility>
 
 #include "sim/kernels.hpp"
 #include "util/error.hpp"
@@ -22,9 +23,23 @@ void TrajectoryEngine::apply_unitary_1q(const Mat2& u, int q) {
   state_.apply_unitary_1q(u, q);
 }
 
+void TrajectoryEngine::diag_factors(const std::array<cplx, 4>& d, int qa,
+                                    int qb, math::simd::DiagFactor* out) {
+  out[0].m0 = std::uint64_t{1} << qa;
+  out[0].m1 = qb < 0 ? 0 : std::uint64_t{1} << qb;
+  out[0].d = d;
+}
+
+void TrajectoryEngine::apply_diag_run(const math::simd::DiagFactor* f,
+                                      std::size_t count) {
+  kernels::diag_run(state_.mutable_amplitudes().data(), state_.dim(), f,
+                    count);
+}
+
 void TrajectoryEngine::apply_diag_1q(cplx d0, cplx d1, int q) {
-  kernels::apply_diag_1q(state_.mutable_amplitudes().data(), state_.dim(), q,
-                         d0, d1);
+  math::simd::DiagFactor f;
+  diag_factors({d0, d1, cplx(0.0), cplx(0.0)}, q, -1, &f);
+  apply_diag_run(&f, 1);
 }
 
 void TrajectoryEngine::apply_cx(int c, int t) {
@@ -33,8 +48,9 @@ void TrajectoryEngine::apply_cx(int c, int t) {
 
 void TrajectoryEngine::apply_diag_2q(const std::array<cplx, 4>& d, int qa,
                                      int qb) {
-  kernels::apply_diag_2q(state_.mutable_amplitudes().data(), state_.dim(), qa,
-                         qb, d);
+  math::simd::DiagFactor f;
+  diag_factors(d, qa, qb, &f);
+  apply_diag_run(&f, 1);
 }
 
 void TrajectoryEngine::apply_unitary_2q(const math::Mat4& u, int qa, int qb) {
@@ -61,7 +77,7 @@ void TrajectoryEngine::apply_pauli(int which, int q) {
       return;
     }
     default:
-      kernels::apply_diag_1q(a, d, q, 1.0, -1.0);
+      apply_diag_1q(1.0, -1.0, q);
       return;
   }
 }
@@ -88,8 +104,7 @@ void TrajectoryEngine::apply_thermal_relaxation(int q, double gamma,
           });
     } else {
       // No-jump branch K0 = diag(1, sqrt(1-gamma)), then renormalize.
-      kernels::apply_diag_1q(state_.mutable_amplitudes().data(), state_.dim(),
-                             q, 1.0, std::sqrt(1.0 - gamma));
+      apply_diag_1q(1.0, std::sqrt(1.0 - gamma), q);
       state_.normalize();
     }
   }
@@ -170,35 +185,96 @@ std::vector<double> fold_trajectory_groups(
   return total;
 }
 
+TrajectoryFold::TrajectoryFold(int num_trajectories)
+    : num_trajectories_(num_trajectories) {
+  require(num_trajectories >= 1, "need at least one trajectory");
+  groups_.resize(
+      static_cast<std::size_t>(num_trajectory_groups(num_trajectories)));
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    groups_[g].size = std::min(
+        kTrajectoryGroupSize,
+        num_trajectories - static_cast<int>(g) * kTrajectoryGroupSize);
+    groups_[g].parked.resize(static_cast<std::size_t>(groups_[g].size));
+  }
+}
+
+void TrajectoryFold::add(int t, std::vector<double> probabilities) {
+  require(t >= 0 && t < num_trajectories_, "trajectory index out of range");
+  require(!probabilities.empty(), "empty trajectory distribution");
+  Group& g = groups_[static_cast<std::size_t>(t / kTrajectoryGroupSize)];
+  const auto offset = static_cast<std::size_t>(t % kTrajectoryGroupSize);
+  std::unique_lock<std::mutex> lock(mu_);
+  CHARTER_ASSERT(static_cast<int>(offset) >= g.added &&
+                     g.parked[offset].empty(),
+                 "trajectory added twice");
+  g.parked[offset] = std::move(probabilities);
+  // Whoever holds `busy` sums the group in index order and will pick this
+  // vector up when its turn comes; otherwise become that thread.
+  if (g.busy) return;
+  g.busy = true;
+  while (g.added < g.size &&
+         !g.parked[static_cast<std::size_t>(g.added)].empty()) {
+    {
+      std::vector<double> p =
+          std::exchange(g.parked[static_cast<std::size_t>(g.added)], {});
+      lock.unlock();
+      if (g.sum.empty()) {
+        // 0.0 + p[i] == p[i] for every probability, so the group's first
+        // unravelling becomes its partial as is.
+        g.sum = std::move(p);
+      } else {
+        for (std::size_t i = 0; i < g.sum.size(); ++i) g.sum[i] += p[i];
+      }
+    }  // p is freed here, outside the lock
+    lock.lock();
+    ++g.added;
+  }
+  g.busy = false;
+}
+
+void TrajectoryFold::add_group(int g, std::vector<double> partial) {
+  require(g >= 0 && g < static_cast<int>(groups_.size()),
+          "fold group out of range");
+  const std::lock_guard<std::mutex> lock(mu_);
+  Group& group = groups_[static_cast<std::size_t>(g)];
+  CHARTER_ASSERT(group.added == 0 && !group.busy, "fold group added twice");
+  group.sum = std::move(partial);
+  group.added = group.size;
+}
+
+std::vector<double> TrajectoryFold::finish() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::vector<double>> partials;
+  partials.reserve(groups_.size());
+  for (Group& g : groups_) {
+    CHARTER_ASSERT(g.added == g.size, "trajectory fold is incomplete");
+    partials.push_back(std::move(g.sum));
+  }
+  const std::uint64_t dim = partials.front().size();
+  return fold_trajectory_groups(partials, dim, num_trajectories_);
+}
+
 std::vector<double> run_trajectories(
     int num_qubits, int num_trajectories, std::uint64_t seed,
     const std::function<void(NoisyEngine&)>& program) {
-  require(num_trajectories >= 1, "need at least one trajectory");
-  const std::uint64_t dim = std::uint64_t{1} << num_qubits;
   const util::Rng seeder(seed);
-
-  const int num_groups = num_trajectory_groups(num_trajectories);
-  std::vector<std::vector<double>> partial(
-      static_cast<std::size_t>(num_groups));
-  const auto run_group = [&](std::int64_t g) {
-    const int begin = static_cast<int>(g) * kTrajectoryGroupSize;
-    const int end =
-        std::min(begin + kTrajectoryGroupSize, num_trajectories);
-    partial[static_cast<std::size_t>(g)] =
-        run_trajectory_group(num_qubits, begin, end, seeder, program);
+  TrajectoryFold fold(num_trajectories);
+  const auto run_one = [&](std::int64_t t) {
+    TrajectoryEngine engine(
+        num_qubits, trajectory_engine_seed(seeder, static_cast<int>(t)));
+    program(engine);
+    fold.add(static_cast<int>(t), engine.probabilities());
   };
   if (num_qubits >= amp_parallel_min_qubits()) {
     // Amplitude-parallel regime: each O(2^n) kernel pass dwarfs the
-    // per-group overhead, so run the groups serially and let the kernels'
-    // own OpenMP loops fan out instead.  (On pool workers the kernels stay
-    // serial per the nesting contract — the serial group loop is then just
-    // the order parallel_for_dynamic would have produced, so results are
-    // bit-identical either way.)
-    for (std::int64_t g = 0; g < num_groups; ++g) run_group(g);
+    // per-unravelling overhead, so run them serially and let the kernels'
+    // own OpenMP loops fan out instead.  The fold makes the order in which
+    // unravellings finish irrelevant, so both branches give the same bits.
+    for (std::int64_t t = 0; t < num_trajectories; ++t) run_one(t);
   } else {
-    util::parallel_for_dynamic(num_groups, run_group);
+    util::parallel_for_dynamic(num_trajectories, run_one);
   }
-  return fold_trajectory_groups(partial, dim, num_trajectories);
+  return fold.finish();
 }
 
 }  // namespace charter::sim

@@ -13,16 +13,20 @@
 /// tests/test_sim.cpp and bench/ablation_engines).
 
 #include <functional>
+#include <mutex>
 #include <span>
 #include <vector>
 
+#include "math/simd.hpp"
 #include "sim/engine.hpp"
 #include "sim/statevector.hpp"
 #include "util/rng.hpp"
 
 namespace charter::sim {
 
-/// One stochastic unravelling of the noisy evolution.
+/// One stochastic unravelling of the noisy evolution.  The class is final so
+/// that the NoiseProgram tape interpreter's concrete overload devirtualizes
+/// every call and folds runs of diagonal ops into one diag_run pass.
 class TrajectoryEngine final : public NoisyEngine {
  public:
   /// \p seed drives every stochastic branch of this trajectory.
@@ -55,6 +59,20 @@ class TrajectoryEngine final : public NoisyEngine {
   /// Underlying pure state (tests).
   const Statevector& state() const { return state_; }
 
+  /// Diagonal factors one diagonal op contributes to a run: one on the
+  /// statevector (the density-matrix engine takes two).
+  static constexpr std::size_t kDiagFactorsPerOp = 1;
+
+  /// Writes the diag_run factor of the diagonal \p d on (qa, qb) to out[0];
+  /// qb < 0 marks a one-qubit diagonal diag(d[0], d[1]) on qa.
+  /// apply_diag_1q/apply_diag_2q are exactly these 1-factor runs.
+  static void diag_factors(const std::array<math::cplx, 4>& d, int qa,
+                           int qb, math::simd::DiagFactor* out);
+
+  /// Applies \p count diagonal factors in order in one pass over the
+  /// amplitudes; bit-identical to applying their ops one at a time.
+  void apply_diag_run(const math::simd::DiagFactor* f, std::size_t count);
+
  private:
   void apply_pauli(int which, int q);  // 0=X, 1=Y, 2=Z
 
@@ -65,10 +83,16 @@ class TrajectoryEngine final : public NoisyEngine {
 /// Trajectories are folded in fixed-size groups merged in index order, so
 /// the floating-point accumulation order — and therefore the averaged
 /// distribution, bit for bit — never depends on which thread produced which
-/// group.  The group size is part of the numeric contract: every code path
-/// that averages unravellings (run_trajectories, the exec layer's pooled
-/// fan-out, and the trajectory checkpoint plan) must fold with this size or
-/// its results drift from a standalone run by reassociation.
+/// unravelling.  The group size is part of the numeric contract: a group's
+/// partial is the sum of its unravellings' distributions added in index
+/// order, and the partials are summed in group order
+/// (fold_trajectory_groups).  The unit of parallel work is one unravelling
+/// (run_trajectories, the exec layer's in-process fan-out and the
+/// trajectory checkpoint plan's base sweep all hand each finished
+/// unravelling to a TrajectoryFold); only worker processes still compute
+/// whole groups (run_trajectory_group), which carry the same sums.  Any path
+/// that folds with another size drifts from a standalone run by
+/// reassociation.
 inline constexpr int kTrajectoryGroupSize = 8;
 
 /// Number of fold groups covering \p num_trajectories.
@@ -97,10 +121,51 @@ std::vector<double> fold_trajectory_groups(
     const std::vector<std::vector<double>>& partials, std::uint64_t dim,
     int num_trajectories);
 
+/// The in-order fold of unravelling distributions.  Tasks that finish
+/// unravellings in any order, on any thread, hand each distribution to
+/// add(); the fold adds it to its group's partial as soon as every earlier
+/// unravelling of that group has been added, and parks it until then.  Each
+/// group's partial is therefore accumulated in exactly
+/// run_trajectory_group's order, and finish() folds the partials with
+/// fold_trajectory_groups — bit-identical to a serial run at every thread
+/// count.  Added vectors are freed as soon as they are summed, so at most
+/// the out-of-order stragglers stay parked.  Thread-safe.
+class TrajectoryFold {
+ public:
+  explicit TrajectoryFold(int num_trajectories);
+
+  /// Hands over unravelling \p t's probability distribution (non-empty,
+  /// entries >= 0).  Each t in [0, num_trajectories) is added exactly once.
+  void add(int t, std::vector<double> probabilities);
+
+  /// Hands over a whole group's partial sum (a run_trajectory_group result,
+  /// e.g. from a worker process) in place of its unravellings.
+  void add_group(int g, std::vector<double> partial);
+
+  /// Averaged distribution over every unravelling; requires all of them
+  /// added.  Consumes the fold; call once, after the last add().
+  std::vector<double> finish();
+
+ private:
+  struct Group {
+    int added = 0;  ///< unravellings summed into `sum` so far
+    int size = 0;
+    bool busy = false;  ///< a thread is summing into `sum` right now
+    std::vector<double> sum;
+    std::vector<std::vector<double>> parked;  ///< by offset within the group
+  };
+
+  std::mutex mu_;
+  int num_trajectories_;
+  std::vector<Group> groups_;
+};
+
 /// Averages probabilities over \p num_trajectories independent unravellings
 /// of the noisy program \p program (a callback that drives one engine).
-/// Trajectories run in parallel across threads; \p seed splits per
-/// trajectory, so results are deterministic regardless of thread count.
+/// Unravellings run in parallel across threads (below
+/// amp_parallel_min_qubits(); above it they run serially and the kernels fan
+/// out) and fold through a TrajectoryFold; \p seed splits per trajectory, so
+/// results are deterministic regardless of thread count.
 std::vector<double> run_trajectories(
     int num_qubits, int num_trajectories, std::uint64_t seed,
     const std::function<void(NoisyEngine&)>& program);

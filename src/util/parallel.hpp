@@ -101,22 +101,21 @@ double parallel_sum(std::int64_t n, Fn&& fn, std::int64_t grain = 1024) {
 /// the plain serial accumulation).
 inline constexpr std::int64_t kChunkedSumLen = 8192;
 
-/// Thread-count-*invariant* sum-reduction: fn(i) is accumulated serially
-/// within fixed-length chunks and the per-chunk partials are folded serially
-/// in chunk-index order.  Unlike parallel_sum — whose OpenMP reduction tree
-/// reassociates with the worker count — the association here is a function
-/// of n alone, so the result is bit-identical at every thread count, inside
-/// nested regions and pool workers (where the chunk loop runs serially), and
-/// on a machine with no OpenMP at all.  Used by the amplitude-parallel
-/// large-n statevector path, whose reductions would otherwise break the
-/// bit-determinism contract the trajectory fold relies on.
-template <typename Fn>
-double parallel_sum_chunked(std::int64_t n, Fn&& fn) {
-  if (n <= kChunkedSumLen) {
-    double total = 0.0;
-    for (std::int64_t i = 0; i < n; ++i) total += fn(i);
-    return total;
-  }
+/// Thread-count-*invariant* sum-reduction over [0, n): \p range_sum(b, e)
+/// returns the serial, index-ordered sum of the terms in [b, e); it is
+/// called once per fixed-length chunk and the per-chunk partials are folded
+/// serially in chunk-index order.  Unlike parallel_sum — whose OpenMP
+/// reduction tree reassociates with the worker count — the association here
+/// is a function of n alone, so the result is bit-identical at every thread
+/// count, inside nested regions and pool workers (where the chunk loop runs
+/// serially), and on a machine with no OpenMP at all.  A range function may
+/// skip terms that are exactly +0.0 without changing a bit.  Used by the
+/// amplitude-parallel large-n statevector path, whose reductions would
+/// otherwise break the bit-determinism contract the trajectory fold relies
+/// on.
+template <typename RangeSum>
+double parallel_sum_chunked(std::int64_t n, RangeSum&& range_sum) {
+  if (n <= kChunkedSumLen) return range_sum(std::int64_t{0}, n);
   const std::int64_t num_chunks = (n + kChunkedSumLen - 1) / kChunkedSumLen;
   std::vector<double> partial(static_cast<std::size_t>(num_chunks), 0.0);
   parallel_for(
@@ -125,9 +124,7 @@ double parallel_sum_chunked(std::int64_t n, Fn&& fn) {
         const std::int64_t begin = c * kChunkedSumLen;
         const std::int64_t end =
             begin + kChunkedSumLen < n ? begin + kChunkedSumLen : n;
-        double s = 0.0;
-        for (std::int64_t i = begin; i < end; ++i) s += fn(i);
-        partial[static_cast<std::size_t>(c)] = s;
+        partial[static_cast<std::size_t>(c)] = range_sum(begin, end);
       },
       /*grain=*/1);
   double total = 0.0;

@@ -13,6 +13,7 @@
 #include <cstdlib>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -28,6 +29,10 @@
 #include "sim/density_matrix.hpp"
 #include "sim/trajectory.hpp"
 #include "util/thread_pool.hpp"
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 namespace cb = charter::backend;
 namespace cc = charter::circ;
@@ -971,5 +976,132 @@ TEST(MultiProcess, KilledWorkerShardIsRetriedInProcessUnchanged) {
     ASSERT_EQ(got[k].size(), expected[k].size()) << "job " << k;
     for (std::size_t i = 0; i < expected[k].size(); ++i)
       EXPECT_EQ(got[k][i], expected[k][i]) << "job " << k << " outcome " << i;
+  }
+}
+
+namespace {
+
+/// The engine-level trajectory average a standalone run computes for \p job
+/// (run_trajectories over the job's own tape), finalized like the backend.
+std::vector<double> standalone_trajectories(const cb::FakeBackend& backend,
+                                            const ex::AnalysisJob& job) {
+  const cb::LoweredRun lowered = backend.lower(*job.program, job.run);
+  const cn::NoisyExecutor executor(lowered.model);
+  const cn::NoiseProgram tape = executor.lower(lowered.local);
+  return backend.finalize(
+      cs::run_trajectories(lowered.local.num_qubits(), job.run.trajectories,
+                           job.run.seed ^ cb::kTrajectorySeedSalt,
+                           [&](cs::NoisyEngine& e) { tape.execute(e); }),
+      lowered, *job.program, job.run);
+}
+
+bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+}  // namespace
+
+TEST(BatchRunner, PlainTrajectoryFanOutMatchesRunTrajectoriesPerJob) {
+  // The plain route runs one pool task per unravelling (or one worker unit
+  // per fold group) and folds in index order, so every job must carry the
+  // bits of its own standalone run_trajectories average — for job counts
+  // below, at and above the pool width, trajectory counts inside, at and
+  // across a fold-group boundary, and every threads x workers setting.
+  const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
+  const cb::CompiledProgram program = compiled_program(backend, 1);
+  const std::vector<std::size_t> eligible =
+      co::reversible_ops(program.physical, true);
+  ASSERT_GE(eligible.size(), 6u);
+  std::vector<cb::CompiledProgram> programs(6, program);
+  for (std::size_t k = 1; k < programs.size(); ++k)
+    programs[k].physical =
+        co::insert_reversed_pairs(program.physical, eligible[k], 2, true);
+
+  for (const int trajectories : {1, 7, 8, 9, 24}) {
+    std::vector<ex::AnalysisJob> all;
+    std::vector<std::vector<double>> expected;
+    for (std::size_t k = 0; k < programs.size(); ++k) {
+      ex::AnalysisJob job;
+      job.program = &programs[k];
+      job.run.shots = 0;
+      job.run.seed = 40 + k;
+      job.run.drift = 0.06;  // drifted: never checkpoint-shared
+      job.run.engine = cb::EngineKind::kTrajectory;
+      job.run.trajectories = trajectories;
+      all.push_back(job);
+      expected.push_back(standalone_trajectories(backend, job));
+    }
+    for (std::size_t num_jobs = 1; num_jobs <= all.size(); ++num_jobs) {
+      const std::vector<ex::AnalysisJob> jobs(all.begin(),
+                                              all.begin() + num_jobs);
+      for (const int threads : {1, 2, 4}) {
+        for (const int workers : {0, 2}) {
+          ex::BatchOptions options;
+          options.caching = false;
+          options.threads = threads;
+          options.workers = workers;
+          const ex::BatchRunner runner(backend, options);
+          const std::vector<std::vector<double>> got = runner.run(jobs);
+          EXPECT_EQ(runner.last_stats().full_runs, num_jobs);
+          EXPECT_EQ(runner.last_stats().worker_jobs > 0, workers > 0);
+          ASSERT_EQ(got.size(), num_jobs);
+          for (std::size_t k = 0; k < num_jobs; ++k)
+            EXPECT_TRUE(bits_equal(got[k], expected[k]))
+                << "job " << k << " of " << num_jobs << ", " << trajectories
+                << " trajectories, threads " << threads << ", workers "
+                << workers;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchRunner, BackendRunMatchesBatchAtEveryOpenMpWidth) {
+  // A standalone FakeBackend::run sums its renormalizations in a fixed
+  // order off the pool too, so its trajectory average equals the pooled
+  // BatchRunner result at OpenMP 1 and 4 alike.  12 qubits put the state
+  // past the size at which an OpenMP reduction would kick in; one
+  // trajectory keeps the run on the calling thread.
+  const cb::FakeBackend backend = cb::FakeBackend::guadalupe(16);
+  cc::Circuit logical(12);
+  for (int q = 0; q < 12; ++q) logical.h(q);
+  for (int q = 0; q + 1 < 12; ++q) logical.cx(q, q + 1);
+  for (int q = 0; q < 12; ++q) logical.rx(q, 0.2 + 0.05 * q);
+  const cb::CompiledProgram program = backend.compile(logical);
+  ASSERT_GE(cb::used_qubits(program).size(), 12u);
+
+  for (const int trajectories : {1, 8}) {
+    ex::AnalysisJob job;
+    job.program = &program;
+    job.run.shots = 0;
+    job.run.seed = 7;
+    job.run.drift = 0.06;
+    job.run.engine = cb::EngineKind::kTrajectory;
+    job.run.trajectories = trajectories;
+    ex::BatchOptions options;
+    options.caching = false;
+    options.threads = 2;
+    const std::vector<double> batched =
+        ex::BatchRunner(backend, options).run({job}).front();
+#ifdef _OPENMP
+    // libgomp is not instrumented for ThreadSanitizer, whose leg runs the
+    // suite at one OpenMP thread: a forced 4-thread team there would only
+    // report the team's own barriers as races.
+#ifdef __SANITIZE_THREAD__
+    const std::vector<int> widths = {1};
+#else
+    const std::vector<int> widths = {1, 4};
+#endif
+    const int saved = omp_get_max_threads();
+    for (const int omp : widths) {
+      omp_set_num_threads(omp);
+      EXPECT_TRUE(bits_equal(backend.run(program, job.run), batched))
+          << trajectories << " trajectories at OpenMP " << omp;
+    }
+    omp_set_num_threads(saved);
+#else
+    EXPECT_TRUE(bits_equal(backend.run(program, job.run), batched));
+#endif
   }
 }

@@ -154,6 +154,67 @@ TEST(NoiseProgram, DiagonalRunsAreExactAtEverySplit) {
   }
 }
 
+TEST(NoiseProgram, TrajectoryDiagonalRunsAreExactAtEverySplit) {
+  // The statevector counterpart of the test above: one diag_run factor per
+  // op, and the engine also carries an RNG stream that grouping must not
+  // perturb.  A drifted 12-qubit tape keeps the state past the small-n
+  // padding of the vector kernels.
+  const int n = 12;
+  const cn::NoiseModel m = line_model(n, 22).with_drift(9, 0.06);
+  const cc::Circuit c = random_basis_circuit(n, 60, 6);
+  const cn::NoiseProgram p = cn::lower(m, c);
+  const auto is_diag = [&](std::size_t i) {
+    return p.op(i).kind == cn::TapeOpKind::kDiag1q ||
+           p.op(i).kind == cn::TapeOpKind::kDiag2q;
+  };
+  std::vector<std::size_t> inner;  // split positions inside a diagonal run
+  std::size_t run = 0, longest = 0;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    run = is_diag(i) ? run + 1 : 0;
+    longest = std::max(longest, run);
+    if (run >= 2) inner.push_back(i);
+  }
+  ASSERT_GE(longest, 5u) << "tape has no ZZ-flush runs";
+
+  constexpr std::uint64_t kSeed = 77;
+  // Same amplitudes bit for bit, and the same RNG stream: a burst of
+  // depolarizing draws (each a 3/4 chance of a random Pauli) after the tape
+  // lands both engines on the same state only if their streams agree.
+  const auto same = [](const cs::TrajectoryEngine& a,
+                       const cs::TrajectoryEngine& b) {
+    cs::TrajectoryEngine x = a, y = b;
+    for (int k = 0; k < 48; ++k) {
+      x.apply_depolarizing_1q(k % x.num_qubits(), 0.75);
+      y.apply_depolarizing_1q(k % y.num_qubits(), 0.75);
+    }
+    const auto bytes = [](const cs::TrajectoryEngine& e) {
+      return e.state().amplitudes().size() * sizeof(charter::math::cplx);
+    };
+    return std::memcmp(a.state().amplitudes().data(),
+                       b.state().amplitudes().data(), bytes(a)) == 0 &&
+           std::memcmp(x.state().amplitudes().data(),
+                       y.state().amplitudes().data(), bytes(x)) == 0;
+  };
+  cs::TrajectoryEngine via_interface(n, kSeed);
+  p.execute(static_cast<cs::NoisyEngine&>(via_interface));
+  cs::TrajectoryEngine direct(n, kSeed);
+  p.run(direct, 0, p.size());
+  EXPECT_TRUE(same(via_interface, direct));
+  cs::TrajectoryEngine op_by_op(n, kSeed);
+  for (std::size_t i = 0; i < p.size(); ++i) p.run(op_by_op, i, i + 1);
+  EXPECT_TRUE(same(op_by_op, direct));
+
+  for (const std::size_t split : inner) {
+    cs::TrajectoryEngine head(n, kSeed);
+    p.run(head, 0, split);
+    const std::unique_ptr<cs::NoisyEngine> resumed = head.clone();
+    p.run(*resumed, split, p.size());
+    EXPECT_TRUE(same(static_cast<const cs::TrajectoryEngine&>(*resumed),
+                     direct))
+        << "split at " << split;
+  }
+}
+
 TEST(NoiseProgram, BoundariesPartitionTheTape) {
   const cn::NoiseModel m = line_model(3, 5);
   const cc::Circuit c = random_basis_circuit(3, 20, 9);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "circuit/circuit.hpp"
@@ -201,6 +202,44 @@ TEST(Statevector, NormPreservedUnderRandomCircuits) {
     sv.apply(c);
     EXPECT_NEAR(sv.norm_sq(), 1.0, 1e-10);
   }
+}
+
+TEST(Statevector, ProbabilityOneHalfSumIsBitIdenticalToFullLoop) {
+  // probability_one visits only the bit-q = 1 half; the skipped terms of
+  // the full loop are exact +0.0, so both regimes — the serial sum below
+  // the amplitude-parallelism threshold and the chunked sum above it — must
+  // reproduce the full-loop formula bit for bit.
+  const auto full_loop = [](const cs::Statevector& sv, int q,
+                            std::int64_t chunk) {
+    const std::uint64_t mask = 1ULL << q;
+    const auto& a = sv.amplitudes();
+    const auto n = static_cast<std::int64_t>(a.size());
+    double total = 0.0;
+    for (std::int64_t b = 0; b < n; b += chunk) {
+      double s = 0.0;
+      for (std::int64_t i = b; i < std::min(n, b + chunk); ++i)
+        s += (static_cast<std::uint64_t>(i) & mask) ? std::norm(a[i]) : 0.0;
+      total += s;
+    }
+    return total;
+  };
+  const int saved = cs::amp_parallel_min_qubits();
+  charter::util::Rng rng(41);
+  for (int n = 3; n <= 16; ++n) {
+    cs::Statevector sv(n);
+    for (cplx& v : sv.mutable_amplitudes())
+      v = cplx(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+    for (int q = 0; q < n; ++q) {
+      cs::set_amp_parallel_min_qubits(63);  // serial index order
+      EXPECT_EQ(sv.probability_one(q), full_loop(sv, q, std::int64_t{1} << n))
+          << "n=" << n << " q=" << q;
+      cs::set_amp_parallel_min_qubits(1);  // chunked, thread-invariant
+      EXPECT_EQ(sv.probability_one(q),
+                full_loop(sv, q, charter::util::kChunkedSumLen))
+          << "chunked n=" << n << " q=" << q;
+    }
+  }
+  cs::set_amp_parallel_min_qubits(saved);
 }
 
 TEST(Statevector, CircuitInverseRestoresState) {

@@ -166,6 +166,19 @@ def check_trajectory(path, data):
                     f"threads={row.get('threads')} sweep not bit-identical "
                     "to the 1-thread fold",
                 )
+    # The exec layer's per-unravelling fan-out: one BatchRunner batch must
+    # reproduce every job's own run_trajectories average bit for bit.
+    fan = data.get("fanout")
+    if not isinstance(fan, dict):
+        ok = fail(path, "row 'fanout' missing")
+    else:
+        ok &= require_number(path, fan, "jobs", minimum=1)
+        ok &= require_number(path, fan, "trajectories", minimum=1)
+        ok &= require_number(path, fan, "threads", minimum=1)
+        ok &= require_number(path, fan, "wall_ms", minimum=0.0)
+        ok &= require_number(path, fan, "cpu_util", minimum=0.0)
+        if fan.get("bit_identical") is not True:
+            ok = fail(path, "fanout jobs differ from run_trajectories")
     return ok
 
 
@@ -347,7 +360,9 @@ def summarize(path, data):
             f"simd={data['simd_active']} "
             f"width={data['fusion_width']} "
             f"coherent={data['coherent']['speedup']:.2f}x "
-            f"full_noise={data['full_noise']['speedup']:.2f}x"
+            f"full_noise={data['full_noise']['speedup']:.2f}x "
+            f"fanout={data['fanout']['wall_ms']:.0f}ms "
+            f"cpu_util={data['fanout']['cpu_util']:.2f}"
         )
     else:
         rows = {r["kernel"]: r["speedup"] for r in data["simd"]}
