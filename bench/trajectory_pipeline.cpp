@@ -21,6 +21,10 @@
 //     over wall x threads); every unravelling is its own pool task, so the
 //     pool stays busy although 6 jobs do not divide over 4 threads.  Each
 //     job must be bit-identical to its own run_trajectories average.
+//  5. adaptive: one Charter trajectory sweep of a deep 5-qubit circuit run
+//     twice — fixed budget vs BudgetMode::kAdaptive — recording the
+//     trajectories the sequential test saved; the top-3 gate ranking must
+//     be unchanged and the savings positive.
 //
 // Both rows assert exact-vs-fused-wide agreement <= 1e-12 on the folded
 // distribution, so every bench run doubles as an equivalence check at a
@@ -50,7 +54,9 @@
 #include "backend/backend.hpp"
 #include "bench/common.hpp"
 #include "circuit/circuit.hpp"
+#include "core/analyzer.hpp"
 #include "core/reversal.hpp"
+#include "exec/adaptive.hpp"
 #include "exec/batch.hpp"
 #include "math/simd_dispatch.hpp"
 #include "noise/calibration.hpp"
@@ -63,6 +69,7 @@
 namespace cb = charter::backend;
 namespace cc = charter::circ;
 namespace cn = charter::noise;
+namespace co = charter::core;
 namespace cs = charter::sim;
 namespace simd = charter::math::simd;
 
@@ -256,6 +263,94 @@ FanoutRow bench_fanout(const std::string& algo, int num_jobs,
   return row;
 }
 
+/// Deep 5-qubit workload for the adaptive row: CX ladders, T phases, and
+/// RX rotations.  Its impact spectrum has one clearly dominant CX (TVD
+/// ~0.11, nearly 1.5x its neighbor) over well-spread mid ranks and a
+/// zero-impact RZ floor — the separation the sequential test needs to
+/// settle a gate early without perturbing the ranking.
+cc::Circuit deep_logical(int rounds) {
+  cc::Circuit c(5);
+  for (int q = 0; q < 5; ++q) c.h(q, cc::kFlagInputPrep);
+  for (int r = 0; r < rounds; ++r) {
+    for (int q = 0; q < 4; ++q) c.cx(q, q + 1);
+    for (int q = 0; q < 5; ++q) c.t(q);
+    c.cx(4, 3);
+    for (int q = 0; q < 5; ++q) c.rx(q, 0.3 + 0.1 * q);
+  }
+  return c;
+}
+
+bool topk_match(const co::CharterReport& a, const co::CharterReport& b,
+                std::size_t k) {
+  const auto ra = a.sorted_by_impact();
+  const auto rb = b.sorted_by_impact();
+  if (ra.size() != rb.size()) return false;
+  k = std::min(k, ra.size());
+  for (std::size_t i = 0; i < k; ++i)
+    if (ra[i].op_index != rb[i].op_index) return false;
+  return true;
+}
+
+struct AdaptiveRow {
+  std::size_t budgeted = 0;
+  std::size_t executed = 0;
+  std::size_t settled = 0;
+  double savings_pct = 0.0;
+  bool topk_ok = false;
+};
+
+/// The adaptive row is pinned to one workload shape in both modes: the
+/// sequential test only settles when the sampled ranks are genuinely
+/// separated, and rank preservation additionally needs the settled gate far
+/// enough ahead that its less-averaged folded estimate (an early stop folds
+/// fewer groups, which biases TVD up) cannot cross its neighbor.
+/// deep_logical's dominant CX satisfies both; denser subsamples tie at the
+/// bottom (two exactly-zero RZs never separate) or pack the spectrum
+/// tighter than the CI half-widths.
+AdaptiveRow bench_adaptive(int groups) {
+  const cb::FakeBackend backend = cb::FakeBackend::lagos();
+  const cb::CompiledProgram program = backend.compile(deep_logical(2));
+
+  co::CharterOptions fixed;
+  fixed.reversals = 5;
+  fixed.max_gates = 6;
+  // Keep the virtual RZ gates in the sweep: their near-zero impact sits
+  // far below the noisy gates', giving the sequential test real rank gaps
+  // to separate — the regime where an adaptive budget pays.
+  fixed.skip_rz = false;
+  fixed.common_random_numbers = true;
+  fixed.run.shots = 0;
+  fixed.run.engine = cb::EngineKind::kTrajectory;
+  fixed.run.trajectories = groups * cs::kTrajectoryGroupSize;
+  fixed.run.seed = 7;
+  fixed.exec.threads = 2;
+  fixed.exec.caching = false;
+  const co::CharterReport full =
+      co::CharterAnalyzer(backend, fixed).analyze(program);
+
+  co::CharterOptions adaptive = fixed;
+  adaptive.budget = charter::exec::BudgetMode::kAdaptive;
+  const co::CharterReport early =
+      co::CharterAnalyzer(backend, adaptive).analyze(program);
+
+  AdaptiveRow row;
+  row.budgeted = early.exec_stats.trajectories_budgeted;
+  row.executed = early.exec_stats.trajectories_executed;
+  row.settled = early.exec_stats.gates_settled_early;
+  row.savings_pct =
+      row.budgeted > 0
+          ? 100.0 * static_cast<double>(row.budgeted - row.executed) /
+                static_cast<double>(row.budgeted)
+          : 0.0;
+  row.topk_ok = topk_match(full, early, 3);
+  std::fprintf(stderr,
+               "note: adaptive deep_logical — %zu/%zu trajectories (%.1f%% "
+               "saved), %zu gates settled early, top-3 %s\n",
+               row.executed, row.budgeted, row.savings_pct, row.settled,
+               row.topk_ok ? "unchanged" : "CHANGED");
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -356,9 +451,22 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof(buf),
                   "  \"fanout\": {\"jobs\": %d, \"trajectories\": 8, "
                   "\"threads\": %d, \"wall_ms\": %.3f, \"cpu_util\": %.3f, "
-                  "\"bit_identical\": %s}\n",
+                  "\"bit_identical\": %s},\n",
                   fan.jobs, fan.threads, fan.wall_ms, fan.cpu_util,
                   fan.bit_identical ? "true" : "false");
+    json += buf;
+  }
+  const AdaptiveRow adaptive = bench_adaptive(smoke ? 24 : 48);
+  {
+    char buf[320];
+    std::snprintf(
+        buf, sizeof(buf),
+        "  \"adaptive\": {\"family\": \"deep_logical\", "
+        "\"trajectories_budgeted\": %zu, \"trajectories_executed\": %zu, "
+        "\"gates_settled_early\": %zu, \"savings_pct\": %.2f, "
+        "\"topk\": 3, \"topk_match\": %s}\n",
+        adaptive.budgeted, adaptive.executed, adaptive.settled,
+        adaptive.savings_pct, adaptive.topk_ok ? "true" : "false");
     json += buf;
   }
   json += "}\n";
@@ -378,6 +486,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FAIL: a fanout job differs from its run_trajectories "
                  "average\n");
+    return 1;
+  }
+  if (adaptive.executed >= adaptive.budgeted || adaptive.settled == 0) {
+    std::fprintf(stderr, "FAIL: adaptive budget saved nothing\n");
+    return 1;
+  }
+  if (!adaptive.topk_ok) {
+    std::fprintf(stderr, "FAIL: adaptive budget changed the top-3 ranking\n");
     return 1;
   }
   if (coh.tape_ops_fused_wide >= coh.tape_ops_exact) {

@@ -69,6 +69,14 @@ EngineKind resolve_engine(const RunOptions& options, int local_width) {
              : EngineKind::kTrajectory;
 }
 
+RunOptions pin_engine(RunOptions options, int local_width) {
+  options.engine = resolve_engine(options, local_width);
+  if (options.engine == EngineKind::kTrajectory &&
+      options.opt == noise::OptLevel::kFused)
+    options.opt = noise::OptLevel::kExact;
+  return options;
+}
+
 int resolve_fusion_width(const RunOptions& options) {
   if (options.fusion_width != 0)
     return std::clamp(options.fusion_width, 2, 3);

@@ -96,6 +96,13 @@ struct LoweredRun {
 /// FakeBackend::run and the exec layer so the two can never diverge.
 EngineKind resolve_engine(const RunOptions& options, int local_width);
 
+/// \p options with the engine pinned to resolve_engine(options,
+/// local_width) and, on the trajectory engine, kFused downgraded to kExact
+/// (the tape FakeBackend::run executes there).  The run takes the same path
+/// either way; the analysis pipeline pins every job of a sweep so that its
+/// run-cache key names the path that produced the result.
+RunOptions pin_engine(RunOptions options, int local_width);
+
 /// The wide-gate fusion width a kFusedWide lowering of \p options actually
 /// uses: the per-run override when set (clamped to the valid 2..3 range the
 /// same way noise::set_fusion_width clamps), else the process-global

@@ -41,7 +41,6 @@
 #include "backend/backend.hpp"
 #include "core/analyzer.hpp"
 #include "exec/batch.hpp"
-#include "exec/strategy.hpp"
 #include "stats/stats.hpp"
 
 namespace charter::characterize {
@@ -74,11 +73,6 @@ struct CharacterizeOptions {
   backend::RunOptions run;
   /// Exec-layer knobs (checkpointing is what the germ ladder feeds on).
   exec::BatchOptions exec;
-  /// Strategy selection for the sequence sweeps, planned once per
-  /// characterization from the planner's model state at entry.  Adaptive
-  /// trajectory budgets never apply here — every depth of a decay curve
-  /// must run its full budget or the fit would see a moving target.
-  exec::StrategyKind strategy = exec::StrategyKind::kAuto;
 };
 
 // ---------------------------------------------------------------------------
@@ -239,7 +233,7 @@ struct CharacterizationReport {
 // ---------------------------------------------------------------------------
 
 /// Orchestrates characterization over a backend: germ ladders through
-/// exec::BatchRunner (strategy-planned, checkpoint-spliced, cached),
+/// exec::BatchRunner (checkpoint-spliced, cached),
 /// decay-curve fits, bootstrap CIs, and the cross-validation against the
 /// Charter ranking.  Stateless apart from its options, like
 /// CharterAnalyzer.

@@ -3,7 +3,6 @@
 #include <mutex>
 
 #include "characterize/characterize.hpp"
-#include "exec/strategy.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -52,8 +51,6 @@ void accumulate_stats(exec::BatchRunner::Stats& total,
   total.strategy_jobs.dm_fused_wide += s.strategy_jobs.dm_fused_wide;
   total.strategy_jobs.trajectory += s.strategy_jobs.trajectory;
   total.strategy_jobs.checkpoint_splice += s.strategy_jobs.checkpoint_splice;
-  total.predicted_ns += s.predicted_ns;
-  total.actual_ns += s.actual_ns;
   total.trajectories_budgeted += s.trajectories_budgeted;
   total.trajectories_executed += s.trajectories_executed;
   total.gates_settled_early += s.gates_settled_early;
@@ -144,25 +141,16 @@ CharacterizationReport GateCharacterizer::characterize(
   out.depths = scheduler.depths();
   out.severity_reversals = options_.severity_reversals;
 
-  // One strategy decision for the whole characterization, like the
-  // analyzer's once-per-sweep planning.  The tape-length proxy is the base
-  // (deepest) sequence — that is what the checkpoint sweep walks.
-  exec::StrategyContext sctx;
-  sctx.width = static_cast<int>(backend::used_qubits(program).size());
-  sctx.ops = c.size() + (options_.isolate ? 2 : 0) +
-             2 * static_cast<std::size_t>(scheduler.max_depth());
-  sctx.jobs = k * scheduler.depths().size() + 3;
-  sctx.run = options_.run;
-  sctx.duration_ns = backend_.duration_ns(program);
-  sctx.lowering = backend_.supports_lowering();
-  const exec::StrategyPlanner::Decision decision =
-      exec::plan_family(options_.exec.planner, options_.strategy,
-                        exec::BudgetMode::kFixedBudget, sctx);
+  // One execution rule for the whole characterization, as in the
+  // analyzer; every depth of a decay curve runs its full trajectory budget
+  // or the fit would see a moving target.
+  const backend::RunOptions family_run = backend::pin_engine(
+      options_.run, static_cast<int>(backend::used_qubits(program).size()));
 
-  backend::RunOptions orig_run = decision.run;
+  backend::RunOptions orig_run = family_run;
   orig_run.seed = derive_seed(options_.run.seed, 0);
   const auto sequence_run = [&](std::uint64_t tag) {
-    backend::RunOptions run = decision.run;
+    backend::RunOptions run = family_run;
     run.seed = options_.common_random_numbers
                    ? orig_run.seed
                    : derive_seed(options_.run.seed, tag);

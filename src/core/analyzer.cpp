@@ -1,11 +1,9 @@
 #include "core/analyzer.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <mutex>
 #include <set>
 
-#include "exec/strategy.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -138,8 +136,6 @@ void accumulate_stats(exec::BatchRunner::Stats& total,
   total.strategy_jobs.dm_fused_wide += s.strategy_jobs.dm_fused_wide;
   total.strategy_jobs.trajectory += s.strategy_jobs.trajectory;
   total.strategy_jobs.checkpoint_splice += s.strategy_jobs.checkpoint_splice;
-  total.predicted_ns += s.predicted_ns;
-  total.actual_ns += s.actual_ns;
   total.trajectories_budgeted += s.trajectories_budgeted;
   total.trajectories_executed += s.trajectories_executed;
   total.gates_settled_early += s.gates_settled_early;
@@ -214,24 +210,18 @@ CharterReport CharterAnalyzer::analyze(const CompiledProgram& program,
       256, 8 * static_cast<std::size_t>(util::num_threads()));
   ProgressRelay relay(hooks, chosen.size() + 1);
 
-  // Plan the execution strategy once for the whole family, from the
-  // planner's model state at entry: every chunk of one sweep runs the same
-  // prepared RunOptions, and kAuto with no planner resolves to exactly the
-  // options the caller passed in (the historical fixed-rule behavior).
-  exec::StrategyContext sctx;
-  sctx.width = static_cast<int>(backend::used_qubits(program).size());
-  sctx.ops = c.size();
-  sctx.jobs = chosen.size() + 1;
-  sctx.run = options_.run;
-  sctx.duration_ns = backend_.duration_ns(program);
-  sctx.lowering = backend_.supports_lowering();
-  const exec::StrategyPlanner::Decision decision = exec::plan_family(
-      options_.exec.planner, options_.strategy, options_.budget, sctx);
+  // One execution rule for the whole family: the engine resolve_engine
+  // picks for the program's width (density matrix up to kMaxQubits,
+  // trajectories above), at the caller's tape level.
+  const backend::RunOptions family_run = backend::pin_engine(
+      options_.run, static_cast<int>(backend::used_qubits(program).size()));
 
-  backend::RunOptions orig_run = decision.run;
+  backend::RunOptions orig_run = family_run;
   orig_run.seed = derive_seed(options_.run.seed, 0);
 
-  if (decision.adaptive && !chosen.empty()) {
+  if (options_.budget == exec::BudgetMode::kAdaptive &&
+      family_run.engine == backend::EngineKind::kTrajectory &&
+      !chosen.empty()) {
     // Adaptive early termination (BudgetMode::kAdaptive, trajectory
     // family).  The original still goes through the batch runner with its
     // full budget — it is the reference every TVD compares against, so it
@@ -256,7 +246,7 @@ CharterReport CharterAnalyzer::analyze(const CompiledProgram& program,
       rev.physical = insert_reversed_pairs(c, op_index, options_.reversals,
                                            options_.isolate);
       reversed.push_back(std::move(rev));
-      backend::RunOptions run = decision.run;
+      backend::RunOptions run = family_run;
       run.seed = options_.common_random_numbers
                      ? orig_run.seed
                      : derive_seed(options_.run.seed, op_index + 1);
@@ -267,31 +257,14 @@ CharterReport CharterAnalyzer::analyze(const CompiledProgram& program,
     aopts.pool = options_.exec.pool;
     aopts.threads = options_.exec.threads;
     aopts.hooks = relay.run_hooks();
-    const auto t0 = std::chrono::steady_clock::now();
     const exec::AdaptiveResult ares = exec::run_adaptive_trajectory_sweep(
         backend_, ajobs, report.original_distribution, aopts);
     total_stats.jobs += ajobs.size();
     total_stats.full_runs += ajobs.size();
+    total_stats.strategy_jobs.trajectory += ajobs.size();
     total_stats.trajectories_budgeted += ares.trajectories_budgeted;
     total_stats.trajectories_executed += ares.trajectories_executed;
     total_stats.gates_settled_early += ares.gates_settled_early;
-    if (exec::StrategyPlanner* planner = options_.exec.planner;
-        planner != nullptr) {
-      const double ns = std::chrono::duration<double, std::nano>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      const double jobs_d = static_cast<double>(ajobs.size());
-      total_stats.strategy_jobs.trajectory += ajobs.size();
-      // Prediction is read before the observation so "predicted vs actual"
-      // compares the model against data it has not yet absorbed.
-      total_stats.predicted_ns +=
-          planner->predicted_ns(exec::StrategyKind::kTrajectory, sctx.width,
-                                sctx.ops) *
-          jobs_d;
-      total_stats.actual_ns += ns;
-      planner->observe(exec::StrategyKind::kTrajectory, sctx.width, sctx.ops,
-                       ns / jobs_d);
-    }
 
     for (std::size_t k = 0; k < chosen.size(); ++k) {
       const std::size_t op_index = chosen[k];
@@ -332,7 +305,7 @@ CharterReport CharterAnalyzer::analyze(const CompiledProgram& program,
       rev.physical = insert_reversed_pairs(c, op_index, options_.reversals,
                                            options_.isolate);
       reversed.push_back(std::move(rev));
-      backend::RunOptions run = decision.run;
+      backend::RunOptions run = family_run;
       run.seed = options_.common_random_numbers
                      ? orig_run.seed
                      : derive_seed(options_.run.seed, op_index + 1);
@@ -381,23 +354,14 @@ double CharterAnalyzer::input_impact(const CompiledProgram& program,
       program.physical.ops_with_flag(circ::kFlagInputPrep);
   const std::size_t shared = prep.empty() ? 0 : prep.back() + 1;
 
-  // Same per-family planning as analyze(); the family here is just the
-  // original plus the block-reversed circuit.  Adaptive early termination
-  // never applies — there is no gate ranking to settle — so the decision
-  // only shapes the prepared RunOptions.
-  exec::StrategyContext sctx;
-  sctx.width = static_cast<int>(backend::used_qubits(program).size());
-  sctx.ops = program.physical.size();
-  sctx.jobs = 2;
-  sctx.run = options_.run;
-  sctx.duration_ns = backend_.duration_ns(program);
-  sctx.lowering = backend_.supports_lowering();
-  const exec::StrategyPlanner::Decision decision = exec::plan_family(
-      options_.exec.planner, options_.strategy, options_.budget, sctx);
+  // Same execution rule as analyze(); adaptive early termination never
+  // applies here — there is no gate ranking to settle.
+  const backend::RunOptions family_run = backend::pin_engine(
+      options_.run, static_cast<int>(backend::used_qubits(program).size()));
 
-  backend::RunOptions orig_run = decision.run;
+  backend::RunOptions orig_run = family_run;
   orig_run.seed = derive_seed(options_.run.seed, 0);
-  backend::RunOptions rev_run = decision.run;
+  backend::RunOptions rev_run = family_run;
   rev_run.seed = options_.common_random_numbers
                      ? orig_run.seed
                      : derive_seed(options_.run.seed, 0x11fa7ULL);

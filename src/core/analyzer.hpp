@@ -17,6 +17,7 @@
 
 #include "backend/backend.hpp"
 #include "core/reversal.hpp"
+#include "exec/adaptive.hpp"
 #include "exec/batch.hpp"
 #include "stats/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -48,10 +49,12 @@ struct CharterOptions {
   /// engine clones only when every run agrees on the seed.  Off by default:
   /// the paper's protocol treats every run as an independent experiment.
   bool common_random_numbers = false;
-  /// Execution options for every run (seed is re-derived per circuit).
-  /// run.opt selects the NoiseProgram tape level: kExact (default) is
-  /// bit-reproducible; kFused merges gates/diagonals/relaxation windows for
-  /// speed with ~1e-12 agreement — gate rankings are unaffected in practice.
+  /// Execution options for every run (seed is re-derived per circuit, and
+  /// the engine is pinned once per sweep by backend::pin_engine: density
+  /// matrix up to kMaxQubits, trajectories above).  run.opt selects the
+  /// NoiseProgram tape level: kExact (default) is bit-reproducible; kFused
+  /// merges gates/diagonals/relaxation windows for speed with ~1e-12
+  /// agreement — gate rankings are unaffected in practice.
   backend::RunOptions run;
   /// Execution strategy: prefix-state checkpointing, run caching, and the
   /// worker-pool width (see exec/batch.hpp; exec.threads is the knob the
@@ -62,14 +65,6 @@ struct CharterOptions {
   /// configurations fall back to independent full runs automatically.
   /// Reports are bit-identical at every exec.threads value.
   exec::BatchOptions exec;
-  /// Execution strategy for the sweep (exec/strategy.hpp).  A fixed kind
-  /// (kDmExact, kDmFused, kDmFusedWide, kTrajectory) overrides run.engine /
-  /// run.opt for every circuit; kAuto (the default) lets the planner in
-  /// exec.planner choose per job family from its cost model — with no
-  /// planner attached, kAuto is exactly the historical fixed-rule behavior.
-  /// The decision is made once per analyze() call, from the planner's model
-  /// state at entry, so every chunk of one sweep runs the same strategy.
-  exec::StrategyKind strategy = exec::StrategyKind::kAuto;
   /// Trajectory budget policy.  kFixedBudget (default): every trajectory
   /// run uses its full RunOptions::trajectories budget — the mode the
   /// bit-identity contract and golden fixtures are stated under.

@@ -18,7 +18,9 @@ namespace {
 // job classification (strategy_jobs), the cost model's predicted vs
 // measured nanoseconds, and adaptive early-termination savings
 // (trajectories_budgeted/executed, gates_settled_early).
-constexpr int kSchemaVersion = 3;
+// v4: exec drops the cost model's predicted_ns/actual_ns (the strategy
+// planner is gone; strategy_jobs is counted on every run).
+constexpr int kSchemaVersion = 4;
 
 void append_double(std::string& out, double v) {
   char buf[40];
@@ -165,11 +167,7 @@ std::string report_to_json(const CharterReport& report,
          std::to_string(exec_stats.strategy_jobs.trajectory);
   out += ",\"checkpoint_splice\":" +
          std::to_string(exec_stats.strategy_jobs.checkpoint_splice);
-  out += "},\"predicted_ns\":";
-  append_double(out, exec_stats.predicted_ns);
-  out += ",\"actual_ns\":";
-  append_double(out, exec_stats.actual_ns);
-  out += ",\"trajectories_budgeted\":" +
+  out += "},\"trajectories_budgeted\":" +
          std::to_string(exec_stats.trajectories_budgeted);
   out += ",\"trajectories_executed\":" +
          std::to_string(exec_stats.trajectories_executed);
@@ -287,13 +285,6 @@ GoldenReport report_from_json(const std::string& json) {
           "golden report: missing checkpoint_splice");
   out.exec.strategy_jobs.checkpoint_splice = p.size();
   p.expect('}');
-  p.expect(',');
-  require(p.key() == "predicted_ns",
-          "golden report: missing exec.predicted_ns");
-  out.exec.predicted_ns = p.number();
-  p.expect(',');
-  require(p.key() == "actual_ns", "golden report: missing exec.actual_ns");
-  out.exec.actual_ns = p.number();
   p.expect(',');
   require(p.key() == "trajectories_budgeted",
           "golden report: missing exec.trajectories_budgeted");

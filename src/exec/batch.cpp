@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -61,26 +60,15 @@ std::pair<noise::OptLevel, int> tape_key(const backend::RunOptions& run) {
                        : 0};
 }
 
-/// The full-DM-walk strategy a tape level classifies as.
-StrategyKind dm_kind(noise::OptLevel opt) {
+/// The full-DM-walk counter for a tape level.
+std::size_t& dm_jobs(BatchRunner::Stats::StrategyCount& counts,
+                     noise::OptLevel opt) {
   switch (opt) {
-    case noise::OptLevel::kFused: return StrategyKind::kDmFused;
-    case noise::OptLevel::kFusedWide: return StrategyKind::kDmFusedWide;
+    case noise::OptLevel::kFused: return counts.dm_fused;
+    case noise::OptLevel::kFusedWide: return counts.dm_fused_wide;
     case noise::OptLevel::kExact: break;
   }
-  return StrategyKind::kDmExact;
-}
-
-void count_strategy(BatchRunner::Stats::StrategyCount& counts,
-                    StrategyKind kind, std::size_t n) {
-  switch (kind) {
-    case StrategyKind::kDmExact: counts.dm_exact += n; break;
-    case StrategyKind::kDmFused: counts.dm_fused += n; break;
-    case StrategyKind::kDmFusedWide: counts.dm_fused_wide += n; break;
-    case StrategyKind::kTrajectory: counts.trajectory += n; break;
-    case StrategyKind::kCheckpointSplice: counts.checkpoint_splice += n; break;
-    case StrategyKind::kAuto: break;
-  }
+  return counts.dm_exact;
 }
 
 }  // namespace
@@ -292,18 +280,7 @@ std::vector<std::vector<double>> BatchRunner::run(
   };
   throw_if_cancelled();
 
-  // Route timing for the cost model: coordinator-side steady_clock spans
-  // around each route, attributed evenly across the route's jobs.  Never
-  // touches the numerics; only collected when a planner is listening.
-  StrategyPlanner* const planner = options_.planner;
-  const auto route_ns = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double, std::nano>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-
   if (!dm_idx.empty()) {
-    const auto dm_t0 = std::chrono::steady_clock::now();
     // Lower the base once; every sharer reuses the compaction, restricted
     // model, and executor.  drift == 0 for all sharers, so the lowered model
     // is seed-independent and shared safely.
@@ -472,41 +449,16 @@ std::vector<std::vector<double>> BatchRunner::run(
     stats_.checkpoint_fallbacks += plan.stats().fallbacks;
     stats_.checkpointed = dm_idx.size() - plan.stats().fallbacks;
 
-    if (planner != nullptr) {
-      const double ns = route_ns(dm_t0);
-      stats_.actual_ns += ns;
-      const double per_job = ns / static_cast<double>(dm_idx.size());
-      const std::size_t ops = base->physical.size();
-      // Non-base jobs resume from shared prefix snapshots (splice); base
-      // jobs are full DM walks at the shared tape level.
-      std::size_t splice_jobs = 0;
-      for (const std::size_t i : dm_idx)
-        splice_jobs += (jobs[i].program != base);
-      const std::size_t full_jobs = dm_idx.size() - splice_jobs;
-      // Predictions are read before this run's observation lands, so
-      // predicted_ns vs actual_ns compares the model against fresh data.
-      if (splice_jobs > 0) {
-        count_strategy(stats_.strategy_jobs, StrategyKind::kCheckpointSplice,
-                       splice_jobs);
-        stats_.predicted_ns +=
-            static_cast<double>(splice_jobs) *
-            planner->predicted_ns(StrategyKind::kCheckpointSplice, base_width,
-                                  ops);
-        planner->observe(StrategyKind::kCheckpointSplice, base_width, ops,
-                         per_job);
-      }
-      if (full_jobs > 0) {
-        count_strategy(stats_.strategy_jobs, dm_kind(opt), full_jobs);
-        stats_.predicted_ns +=
-            static_cast<double>(full_jobs) *
-            planner->predicted_ns(dm_kind(opt), base_width, ops);
-        planner->observe(dm_kind(opt), base_width, ops, per_job);
-      }
-    }
+    // Non-base jobs resume from shared prefix snapshots (splice); base
+    // jobs are full DM walks at the shared tape level.
+    std::size_t splice_jobs = 0;
+    for (const std::size_t i : dm_idx)
+      splice_jobs += (jobs[i].program != base);
+    stats_.strategy_jobs.checkpoint_splice += splice_jobs;
+    dm_jobs(stats_.strategy_jobs, opt) += dm_idx.size() - splice_jobs;
   }
 
   if (!traj_idx.empty()) {
-    const auto traj_t0 = std::chrono::steady_clock::now();
     backend::RunOptions lower_options;
     lower_options.drift = 0.0;
     const backend::LoweredRun lowered = backend_.lower(*base, lower_options);
@@ -545,23 +497,10 @@ std::vector<std::vector<double>> BatchRunner::run(
     throw_if_cancelled();
     stats_.checkpoint_fallbacks += plan.stats().fallbacks;
     stats_.trajectory_checkpointed = traj_idx.size() - plan.stats().fallbacks;
-
-    if (planner != nullptr) {
-      const double ns = route_ns(traj_t0);
-      stats_.actual_ns += ns;
-      const std::size_t ops = base->physical.size();
-      count_strategy(stats_.strategy_jobs, StrategyKind::kTrajectory,
-                     traj_idx.size());
-      stats_.predicted_ns +=
-          static_cast<double>(traj_idx.size()) *
-          planner->predicted_ns(StrategyKind::kTrajectory, base_width, ops);
-      planner->observe(StrategyKind::kTrajectory, base_width, ops,
-                       ns / static_cast<double>(traj_idx.size()));
-    }
+    stats_.strategy_jobs.trajectory += traj_idx.size();
   }
 
   if (!plain_idx.empty()) {
-    const auto plain_t0 = std::chrono::steady_clock::now();
     // Independent full runs.  Trajectory jobs fan their unravellings out
     // as individual pool tasks — a two-job batch of 8 trajectories each
     // still saturates the pool — and fold through sim::TrajectoryFold,
@@ -575,11 +514,11 @@ std::vector<std::vector<double>> BatchRunner::run(
       // backend's lower/finalize split; without it every job runs whole.
       const int width = static_cast<int>(
           backend::used_qubits(*jobs[i].program).size());
-      (lowering && backend::resolve_engine(jobs[i].run, width) ==
-                       EngineKind::kTrajectory
-           ? traj_plain
-           : other_plain)
-          .push_back(i);
+      const bool trajectory = backend::resolve_engine(jobs[i].run, width) ==
+                              EngineKind::kTrajectory;
+      if (trajectory) ++stats_.strategy_jobs.trajectory;
+      else ++dm_jobs(stats_.strategy_jobs, jobs[i].run.opt);
+      (lowering && trajectory ? traj_plain : other_plain).push_back(i);
     }
 
     pool().run(static_cast<std::int64_t>(other_plain.size()),
@@ -691,28 +630,6 @@ std::vector<std::vector<double>> BatchRunner::run(
       throw_if_cancelled();
     }
     stats_.full_runs = plain_idx.size();
-
-    if (planner != nullptr) {
-      const double ns = route_ns(plain_t0);
-      stats_.actual_ns += ns;
-      const double per_job = ns / static_cast<double>(plain_idx.size());
-      // Plain jobs are heterogeneous (that is why they are plain), so each
-      // is classified on its own width/ops.  Predictions are read for every
-      // job first; observations land afterwards.
-      std::vector<std::tuple<StrategyKind, int, std::size_t>> shapes;
-      shapes.reserve(plain_idx.size());
-      for (const std::size_t i : plain_idx) {
-        const int width = static_cast<int>(
-            backend::used_qubits(*jobs[i].program).size());
-        const std::size_t ops = jobs[i].program->physical.size();
-        const StrategyKind kind = classify_run(jobs[i].run, width, lowering);
-        count_strategy(stats_.strategy_jobs, kind, 1);
-        stats_.predicted_ns += planner->predicted_ns(kind, width, ops);
-        shapes.emplace_back(kind, width, ops);
-      }
-      for (const auto& [kind, width, ops] : shapes)
-        planner->observe(kind, width, ops, per_job);
-    }
   }
   throw_if_cancelled();
   stats_.worker_jobs = mp_units.load();

@@ -49,7 +49,6 @@
 
 #include "backend/backend.hpp"
 #include "exec/cache.hpp"
-#include "exec/strategy.hpp"
 #include "util/thread_pool.hpp"
 
 namespace charter::exec {
@@ -100,16 +99,6 @@ struct BatchOptions {
   /// CLI and charterd pass /proc/self/exe.  Empty: plain fork of the
   /// current image (the library/test path — no binary needed).
   std::string worker_exe;
-  /// Cost-model feedback target (non-owning; may be shared across runners
-  /// and threads — StrategyPlanner is internally synchronized).  When set,
-  /// every run() classifies its executed jobs by strategy, reports the
-  /// planner's cost predictions in Stats, and feeds measured per-job
-  /// wall-clock back via StrategyPlanner::observe.  The planner never
-  /// changes *what* a run() executes — strategy selection happens upstream
-  /// (the analyzer plans per job family before building its jobs), so
-  /// BatchRunner's bit-identity contract is untouched.  nullptr: no
-  /// classification feedback, predicted_ns stays 0.
-  StrategyPlanner* planner = nullptr;
 };
 
 /// Observation and cancellation hooks for one BatchRunner::run call.
@@ -174,12 +163,10 @@ class BatchRunner {
     /// structured worker error; the retry reuses the exact prepared
     /// tape/snapshot, so the final report is unchanged.
     std::size_t worker_retried_jobs = 0;
-    /// How the executed (non-cache-hit) jobs were classified across the
-    /// strategy portfolio (exec/strategy.hpp).  checkpoint_splice counts
-    /// DM jobs resumed from a shared prefix snapshot; the dm_* counters
-    /// cover full DM walks at each tape level.  Only populated when
-    /// BatchOptions::planner is set — classification exists to feed and
-    /// audit the cost model.
+    /// How the executed (non-cache-hit) jobs ran, by path, counted on
+    /// every run.  checkpoint_splice counts DM jobs resumed from a shared
+    /// prefix snapshot; the dm_* counters cover full DM walks at each tape
+    /// level; trajectory counts jobs on the trajectory engine.
     struct StrategyCount {
       std::size_t dm_exact = 0;
       std::size_t dm_fused = 0;
@@ -188,18 +175,11 @@ class BatchRunner {
       std::size_t checkpoint_splice = 0;
     };
     StrategyCount strategy_jobs;
-    /// Cost-model accounting (0 without a planner): the planner's summed
-    /// pre-run per-job predictions for the executed jobs, and the summed
-    /// measured wall-clock attributed to them.  Timing is taken on the
-    /// coordinating thread around each route — it never touches the
-    /// numerics — and is inherently machine-dependent: compare the two
-    /// against each other, never across fixtures.
-    double predicted_ns = 0.0;
-    double actual_ns = 0.0;
     /// Adaptive early-termination accounting.  BatchRunner itself always
     /// runs fixed budgets; the analyzer merges these in from
-    /// run_adaptive_trajectory_sweep when BudgetMode::kAdaptive is active,
-    /// so under the default kFixedBudget all three stay 0.
+    /// run_adaptive_trajectory_sweep (exec/adaptive.hpp) when
+    /// BudgetMode::kAdaptive is active, so under the default kFixedBudget
+    /// all three stay 0.
     std::size_t trajectories_budgeted = 0;
     std::size_t trajectories_executed = 0;
     std::size_t gates_settled_early = 0;

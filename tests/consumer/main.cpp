@@ -3,7 +3,7 @@
 // the facade misbehaves, so the install_consumer CTest entry is a real
 // end-to-end packaging check, not just a link test.  Exercises the
 // ExecutionConfig builder and the public exec surface (charter/exec.hpp:
-// StrategyKind + ExecStats) the way a downstream consumer would.
+// ExecStats) the way a downstream consumer would.
 
 #include <charter/charter.hpp>
 #include <charter/exec.hpp>
@@ -20,7 +20,7 @@ int main() {
   const cb::FakeBackend backend = cb::FakeBackend::lagos();
   charter::SessionConfig config;
   config.reversals(5).shots(8192).seed(42);
-  config.execution().threads(2).strategy(charter::exec::StrategyKind::kAuto);
+  config.execution().threads(2);
   charter::Session session(backend, config);
   const cb::CompiledProgram program = session.compile(circuit);
 
@@ -54,13 +54,23 @@ int main() {
     return 1;
   }
 
+  // Every executed (non-cache-hit) job is counted under the path it ran.
+  const auto& paths = stats.strategy_jobs;
+  const std::size_t by_path = paths.dm_exact + paths.dm_fused +
+                              paths.dm_fused_wide + paths.trajectory +
+                              paths.checkpoint_splice;
+  if (by_path != stats.jobs - stats.cache_hits) {
+    std::fprintf(stderr, "exec stats lost paths: %zu of %zu executed jobs\n",
+                 by_path, stats.jobs - stats.cache_hits);
+    return 1;
+  }
+
   const auto ranked = result.report.sorted_by_impact();
   std::printf(
-      "charter %s: analyzed %zu gates on %s (strategy %s); top impact %.4f "
-      "TVD\n",
+      "charter %s: analyzed %zu gates on %s (%zu checkpoint-spliced jobs); "
+      "top impact %.4f TVD\n",
       CHARTER_VERSION_STRING, result.report.analyzed_gates,
-      session.backend().name().c_str(),
-      charter::exec::strategy_name(session.config().execution().strategy()),
+      session.backend().name().c_str(), paths.checkpoint_splice,
       ranked.front().tvd);
   return 0;
 }

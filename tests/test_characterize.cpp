@@ -482,9 +482,8 @@ TEST(SessionCharacterization, MatchesDirectCharacterizerBitIdentically) {
   const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
   const cb::CompiledProgram program = qft3_program(backend);
 
-  charter::SessionConfig config =
+  const charter::SessionConfig config =
       charter::SessionConfig().reversals(2).shots(0).seed(2022);
-  config.execution().strategy(ex::StrategyKind::kDmExact);
 
   ex::RunCache::global().clear();
   charter::Session session(backend, config);
@@ -497,7 +496,6 @@ TEST(SessionCharacterization, MatchesDirectCharacterizerBitIdentically) {
   direct.severity_reversals = 2;
   direct.run.shots = 0;
   direct.run.seed = 2022;
-  direct.strategy = ex::StrategyKind::kDmExact;
   ex::RunCache::global().clear();
   const ch::CharacterizationReport via_direct =
       ch::GateCharacterizer(backend, direct).characterize(program, charter);

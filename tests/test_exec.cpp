@@ -4,22 +4,29 @@
 // runs, engine clone/save/load round-trips, the checkpoint memory budget
 // degrades to replay instead of wrong answers, trajectory jobs resume from
 // RNG-carrying engine clones, shards partition by checkpoint segment, the
-// striped cache survives concurrent hammering, and — the parallel driver's
+// striped cache survives concurrent hammering, fused-wide jobs at different
+// fusion widths never share a tape, the adaptive trajectory sweep
+// (full-budget bit-equality, early termination with rank preservation,
+// pool-width determinism, job validation), and — the parallel driver's
 // headline contract — full CharterReports are bit-identical at every worker
 // pool width.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "algos/algorithms.hpp"
 #include "backend/backend.hpp"
 #include "core/analyzer.hpp"
 #include "core/reversal.hpp"
+#include "exec/adaptive.hpp"
 #include "exec/batch.hpp"
 #include "exec/cache.hpp"
 #include "exec/checkpoint.hpp"
@@ -28,6 +35,8 @@
 #include "noise/executor.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/trajectory.hpp"
+#include "stats/stats.hpp"
+#include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 #ifdef _OPENMP
@@ -1104,4 +1113,275 @@ TEST(BatchRunner, BackendRunMatchesBatchAtEveryOpenMpWidth) {
     EXPECT_TRUE(bits_equal(backend.run(program, job.run), batched));
 #endif
   }
+}
+
+// ---------------------------------------------------------------------------
+// Fused-wide tape sharing: width is part of the group key
+// ---------------------------------------------------------------------------
+
+namespace {
+
+void expect_distributions_close(const std::vector<double>& a,
+                                const std::vector<double>& b, double tol,
+                                const std::string& label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_NEAR(a[i], b[i], tol) << label << " outcome " << i;
+}
+
+}  // namespace
+
+TEST(FusedWideGrouping, MixedFusionWidthJobsNeverShareATape) {
+  // A width-2 and a width-3 fused-wide run lower to different tapes; before
+  // the tape key mixed the resolved width, a mixed batch could splice one
+  // job's suffix into a tape fused at the other width.  Every job must match
+  // its own standalone run to the fusion tolerance.
+  const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
+  const cb::CompiledProgram program = compiled_program(backend, 2);
+  const std::vector<std::size_t> eligible =
+      co::reversible_ops(program.physical, true);
+  ASSERT_GE(eligible.size(), 4u);
+
+  std::vector<cb::CompiledProgram> reversed;
+  std::vector<ex::AnalysisJob> jobs;
+  reversed.reserve(4);
+  for (std::size_t k = 0; k < 4; ++k) {
+    const std::size_t g = eligible[k];
+    cb::CompiledProgram rev = program;
+    rev.physical = co::insert_reversed_pairs(program.physical, g, 2, true);
+    reversed.push_back(std::move(rev));
+    cb::RunOptions run;
+    run.shots = 4096;
+    run.seed = 11 + g;
+    run.opt = cn::OptLevel::kFusedWide;
+    run.fusion_width = (k % 2 == 0) ? 2 : 3;
+    jobs.push_back({&reversed.back(), run, g + 1});
+  }
+
+  ex::BatchOptions options;
+  options.caching = false;
+  options.threads = 2;
+  ex::RunCache::global().clear();
+  const ex::BatchRunner runner(backend, options);
+  const std::vector<std::vector<double>> results =
+      runner.run(jobs, &program);
+  ASSERT_EQ(results.size(), jobs.size());
+
+  for (std::size_t k = 0; k < jobs.size(); ++k)
+    expect_distributions_close(
+        results[k], backend.run(reversed[k], jobs[k].run), 1e-12,
+        "fusion_width=" + std::to_string(jobs[k].run.fusion_width) + " job " +
+            std::to_string(k));
+}
+
+// ---------------------------------------------------------------------------
+// Adaptive trajectory sweep
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct AdaptiveFixture {
+  cb::FakeBackend backend = cb::FakeBackend::lagos(7);
+  cb::CompiledProgram program;
+  std::vector<cb::CompiledProgram> reversed;
+  std::vector<ex::AdaptiveJob> jobs;
+  std::vector<double> original;
+
+  explicit AdaptiveFixture(int trajectories, std::size_t gates = 4)
+      : program(compiled_program(backend, 2)) {
+    const std::vector<std::size_t> eligible =
+        co::reversible_ops(program.physical, true);
+    EXPECT_GE(eligible.size(), gates);
+    cb::RunOptions base_run;
+    base_run.shots = 0;  // engine-level distributions
+    base_run.engine = cb::EngineKind::kTrajectory;
+    base_run.trajectories = trajectories;
+    base_run.seed = 5;
+    original = backend.run(program, base_run);
+    // Spread the insertion points so the impact estimates separate.
+    const std::size_t stride = eligible.size() / gates;
+    reversed.reserve(gates);
+    for (std::size_t k = 0; k < gates; ++k) {
+      const std::size_t g = eligible[k * stride];
+      cb::CompiledProgram rev = program;
+      rev.physical = co::insert_reversed_pairs(program.physical, g, 2, true);
+      reversed.push_back(std::move(rev));
+      cb::RunOptions run = base_run;
+      run.seed = base_run.seed + g;
+      jobs.push_back({&reversed.back(), run});
+    }
+  }
+};
+
+}  // namespace
+
+TEST(AdaptiveSweep, FullBudgetMatchesBackendRunBitExactly) {
+  // Two groups total with min_groups = 2: the sequential test can never fire
+  // before the budget is exhausted, so every distribution must be
+  // bit-identical to a standalone full-budget run.
+  AdaptiveFixture fx(2 * cs::kTrajectoryGroupSize);
+  ex::AdaptiveOptions options;
+  options.threads = 2;
+  const ex::AdaptiveResult result = ex::run_adaptive_trajectory_sweep(
+      fx.backend, fx.jobs, fx.original, options);
+
+  EXPECT_EQ(result.trajectories_executed, result.trajectories_budgeted);
+  EXPECT_EQ(result.gates_settled_early, 0u);
+  ASSERT_EQ(result.distributions.size(), fx.jobs.size());
+  for (std::size_t k = 0; k < fx.jobs.size(); ++k) {
+    const std::vector<double> standalone =
+        fx.backend.run(fx.reversed[k], fx.jobs[k].run);
+    ASSERT_EQ(result.distributions[k].size(), standalone.size());
+    for (std::size_t i = 0; i < standalone.size(); ++i)
+      EXPECT_EQ(result.distributions[k][i], standalone[i])
+          << "job " << k << " outcome " << i;
+  }
+}
+
+TEST(AdaptiveSweep, EarlyTerminationSavesTrajectoriesAndKeepsTheRanking) {
+  const int trajectories = 10 * cs::kTrajectoryGroupSize;
+  AdaptiveFixture fx(trajectories);
+
+  // Full-budget reference ranking (what kFixedBudget would report).
+  std::vector<double> full_tvds;
+  for (std::size_t k = 0; k < fx.jobs.size(); ++k)
+    full_tvds.push_back(charter::stats::tvd(
+        fx.backend.run(fx.reversed[k], fx.jobs[k].run), fx.original));
+  std::vector<std::size_t> full_rank(fx.jobs.size());
+  std::iota(full_rank.begin(), full_rank.end(), std::size_t{0});
+  std::stable_sort(full_rank.begin(), full_rank.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return full_tvds[a] > full_tvds[b];
+                   });
+
+  ex::AdaptiveOptions options;
+  options.threads = 2;
+  options.z = 2.0;
+  const ex::AdaptiveResult result = ex::run_adaptive_trajectory_sweep(
+      fx.backend, fx.jobs, fx.original, options);
+
+  EXPECT_EQ(result.trajectories_budgeted,
+            fx.jobs.size() * static_cast<std::size_t>(trajectories));
+  EXPECT_LT(result.trajectories_executed, result.trajectories_budgeted);
+  EXPECT_GE(result.gates_settled_early, 1u);
+
+  std::vector<double> adaptive_tvds;
+  for (const std::vector<double>& dist : result.distributions)
+    adaptive_tvds.push_back(charter::stats::tvd(dist, fx.original));
+  std::vector<std::size_t> adaptive_rank(fx.jobs.size());
+  std::iota(adaptive_rank.begin(), adaptive_rank.end(), std::size_t{0});
+  std::stable_sort(adaptive_rank.begin(), adaptive_rank.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return adaptive_tvds[a] > adaptive_tvds[b];
+                   });
+  EXPECT_EQ(adaptive_rank, full_rank);
+}
+
+TEST(AdaptiveSweep, ResultsAreIdenticalAtEveryPoolWidth) {
+  // Stopping decisions happen on the coordinating thread from index-ordered
+  // folds, so the outcome — distributions and savings — cannot depend on
+  // how many workers executed the groups.
+  const int trajectories = 6 * cs::kTrajectoryGroupSize;
+  AdaptiveFixture narrow_fx(trajectories);
+  AdaptiveFixture wide_fx(trajectories);
+
+  ex::AdaptiveOptions narrow;
+  narrow.threads = 1;
+  const ex::AdaptiveResult a = ex::run_adaptive_trajectory_sweep(
+      narrow_fx.backend, narrow_fx.jobs, narrow_fx.original, narrow);
+  ex::AdaptiveOptions wide;
+  wide.threads = 4;
+  const ex::AdaptiveResult b = ex::run_adaptive_trajectory_sweep(
+      wide_fx.backend, wide_fx.jobs, wide_fx.original, wide);
+
+  EXPECT_EQ(a.trajectories_executed, b.trajectories_executed);
+  EXPECT_EQ(a.gates_settled_early, b.gates_settled_early);
+  ASSERT_EQ(a.distributions.size(), b.distributions.size());
+  for (std::size_t k = 0; k < a.distributions.size(); ++k) {
+    ASSERT_EQ(a.distributions[k].size(), b.distributions[k].size());
+    for (std::size_t i = 0; i < a.distributions[k].size(); ++i)
+      EXPECT_EQ(a.distributions[k][i], b.distributions[k][i])
+          << "job " << k << " outcome " << i;
+  }
+}
+
+TEST(AdaptiveSweep, AnalyzerAdaptiveBudgetPreservesTheTopGate) {
+  // End to end through the analyzer: kAdaptive must reduce executed
+  // trajectories, account for the savings in exec_stats, and leave the
+  // top-ranked gate unchanged vs the fixed-budget analysis.
+  const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
+  const cb::CompiledProgram program = compiled_program(backend, 2);
+
+  co::CharterOptions fixed;
+  fixed.reversals = 5;
+  // Keep the virtual RZ gates in the sweep: their near-zero impact sits far
+  // below the noisy gates', so the sequential test has real rank gaps to
+  // separate — mirroring the production shape where adaptive budgets pay.
+  fixed.skip_rz = false;
+  fixed.max_gates = 6;
+  fixed.common_random_numbers = true;
+  fixed.run.shots = 0;
+  fixed.run.engine = cb::EngineKind::kTrajectory;
+  fixed.run.trajectories = 24 * cs::kTrajectoryGroupSize;
+  fixed.run.seed = 7;
+  fixed.exec.threads = 2;
+  fixed.exec.caching = false;
+
+  co::CharterOptions adaptive = fixed;
+  adaptive.budget = ex::BudgetMode::kAdaptive;
+
+  ex::RunCache::global().clear();
+  const co::CharterReport fixed_report =
+      co::CharterAnalyzer(backend, fixed).analyze(program);
+  const co::CharterReport adaptive_report =
+      co::CharterAnalyzer(backend, adaptive).analyze(program);
+  ex::RunCache::global().clear();
+
+  // Fixed budgets never report adaptive accounting.
+  EXPECT_EQ(fixed_report.exec_stats.trajectories_budgeted, 0u);
+  EXPECT_EQ(fixed_report.exec_stats.trajectories_executed, 0u);
+  EXPECT_EQ(fixed_report.exec_stats.gates_settled_early, 0u);
+
+  const std::size_t budget =
+      adaptive_report.impacts.size() *
+      static_cast<std::size_t>(adaptive.run.trajectories);
+  EXPECT_EQ(adaptive_report.exec_stats.trajectories_budgeted, budget);
+  EXPECT_LT(adaptive_report.exec_stats.trajectories_executed, budget);
+  EXPECT_GE(adaptive_report.exec_stats.gates_settled_early, 1u);
+
+  ASSERT_EQ(adaptive_report.impacts.size(), fixed_report.impacts.size());
+  // The original run is untouched by the budget mode.
+  ASSERT_EQ(adaptive_report.original_distribution.size(),
+            fixed_report.original_distribution.size());
+  for (std::size_t i = 0; i < fixed_report.original_distribution.size(); ++i)
+    EXPECT_EQ(adaptive_report.original_distribution[i],
+              fixed_report.original_distribution[i]);
+  const auto fixed_sorted = fixed_report.sorted_by_impact();
+  const auto adaptive_sorted = adaptive_report.sorted_by_impact();
+  EXPECT_EQ(adaptive_sorted.front().op_index, fixed_sorted.front().op_index);
+}
+
+TEST(AdaptiveSweep, RejectsJobsWithoutTrajectoriesBeforeLowering) {
+  // A job with trajectories == 0 has no fold group; the sweep used to index
+  // its empty partial vector.  It must be rejected up front, like a job
+  // without a program.
+  const cb::FakeBackend backend = cb::FakeBackend::lagos();
+  const cb::CompiledProgram program =
+      backend.compile(charter::algos::qft(3, 0));
+  cb::RunOptions run;
+  run.engine = cb::EngineKind::kTrajectory;
+  run.trajectories = 0;
+  const std::vector<double> original =
+      std::vector<double>(std::size_t{1} << program.num_logical, 0.0);
+  ex::AdaptiveOptions options;
+  options.threads = 1;
+  EXPECT_THROW(ex::run_adaptive_trajectory_sweep(
+                   backend, {{&program, run}}, original, options),
+               charter::InvalidArgument);
+
+  run.trajectories = cs::kTrajectoryGroupSize;
+  EXPECT_THROW(ex::run_adaptive_trajectory_sweep(
+                   backend, {{&program, run}, {nullptr, run}}, original,
+                   options),
+               charter::InvalidArgument);
 }

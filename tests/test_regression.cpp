@@ -159,6 +159,14 @@ void check_against_fixture(const std::string& name,
   EXPECT_EQ(actual.exec.full_runs, expected.exec.full_runs);
   EXPECT_EQ(actual.exec.checkpoint_fallbacks,
             expected.exec.checkpoint_fallbacks);
+  // The path counters are counted on every run, so they are pinned too.
+  const auto& a = actual.exec.strategy_jobs;
+  const auto& e = expected.exec.strategy_jobs;
+  EXPECT_EQ(a.dm_exact, e.dm_exact);
+  EXPECT_EQ(a.dm_fused, e.dm_fused);
+  EXPECT_EQ(a.dm_fused_wide, e.dm_fused_wide);
+  EXPECT_EQ(a.trajectory, e.trajectory);
+  EXPECT_EQ(a.checkpoint_splice, e.checkpoint_splice);
 }
 
 }  // namespace

@@ -170,6 +170,44 @@ TEST(Session, BitIdenticalToDirectAnalyzerAcrossThreadCounts) {
   ex::RunCache::global().clear();
 }
 
+TEST(Session, StrategyJobsMatchTheRoutesEveryRunTook) {
+  // strategy_jobs is counted on every run: each executed job lands under
+  // the path its route took.  qft3 on lagos stays on the density-matrix
+  // checkpoint route — the original walks the full exact tape, every
+  // reversed circuit resumes from a snapshot.
+  const cb::FakeBackend lagos = cb::FakeBackend::lagos(7);
+  charter::Session dm_session(lagos, uncached_config(2));
+  const ex::ExecStats dm = dm_session.analyze(qft3_program(lagos)).exec_stats;
+  EXPECT_GT(dm.checkpointed, 0u);
+  EXPECT_EQ(dm.full_runs, 0u);
+  EXPECT_EQ(dm.strategy_jobs.dm_exact + dm.strategy_jobs.checkpoint_splice,
+            dm.checkpointed + dm.checkpoint_fallbacks);
+  EXPECT_EQ(dm.strategy_jobs.dm_exact, 1u);
+  EXPECT_EQ(dm.strategy_jobs.dm_fused + dm.strategy_jobs.dm_fused_wide +
+                dm.strategy_jobs.trajectory,
+            0u);
+
+  // Past kMaxQubits the fixed rule picks trajectories, and drift keeps
+  // every job off the checkpoint routes: each one is a plain full run.
+  const cb::FakeBackend guadalupe = cb::FakeBackend::guadalupe(16);
+  cc::Circuit ghz(12);
+  ghz.h(0);
+  for (int q = 0; q + 1 < 12; ++q) ghz.cx(q, q + 1);
+  charter::SessionConfig config = uncached_config(2);
+  config.max_gates(3).shots(0).trajectories(8).drift(0.05);
+  charter::Session traj_session(guadalupe, config);
+  const ex::ExecStats traj =
+      traj_session.analyze(guadalupe.compile(ghz)).exec_stats;
+  EXPECT_EQ(traj.jobs, 4u);
+  EXPECT_EQ(traj.full_runs, traj.jobs);
+  EXPECT_EQ(traj.checkpointed + traj.trajectory_checkpointed, 0u);
+  EXPECT_EQ(traj.strategy_jobs.trajectory, traj.full_runs);
+  EXPECT_EQ(traj.strategy_jobs.dm_exact + traj.strategy_jobs.dm_fused +
+                traj.strategy_jobs.dm_fused_wide +
+                traj.strategy_jobs.checkpoint_splice,
+            0u);
+}
+
 TEST(Session, SubmitReportsMatchInputImpactToo) {
   const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
   const cb::CompiledProgram program = qft3_program(backend);

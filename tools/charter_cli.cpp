@@ -22,8 +22,7 @@
 //
 // Every subcommand accepts --help; the analysis ones accept
 // --backend lagos|guadalupe (default by size), --reversals, --shots,
-// --seed, --top, --threads, --fused, --strategy auto|dm|fused|fused-wide|
-// trajectory, --cost-profile <path>, and --adaptive.  An unknown --algo
+// --seed, --top, --threads, --fused, and --adaptive.  An unknown --algo
 // key lists the valid keys and exits 2.
 
 #include <dirent.h>
@@ -85,12 +84,6 @@ void add_common_flags(Cli& cli) {
   cli.add_flag("cache-dir", default_cache_dir(),
                "persistent run-cache directory (default $CHARTER_CACHE_DIR; "
                "empty = memory-only)");
-  cli.add_flag("strategy", std::string("auto"),
-               "execution strategy: auto (cost-model planner), dm, fused, "
-               "fused-wide, or trajectory");
-  cli.add_flag("cost-profile", std::string(""),
-               "persisted cost-model path: loaded before the run, saved "
-               "after (empty = in-memory only)");
   cli.add_flag("adaptive", false,
                "adaptive trajectory budgets: stop unravelling a gate once "
                "its impact rank settles (fixed budgets by default)");
@@ -127,12 +120,6 @@ cb::FakeBackend make_backend(const Cli& cli,
 
 charter::SessionConfig make_config(const Cli& cli) {
   const int workers = static_cast<int>(cli.get_int("workers"));
-  const std::string strategy_name = cli.get_string("strategy");
-  const auto strategy = charter::exec::strategy_from_name(strategy_name);
-  if (!strategy.has_value())
-    throw charter::InvalidArgument(
-        "unknown --strategy '" + strategy_name +
-        "' (expected auto, dm, fused, fused-wide, or trajectory)");
   charter::SessionConfig config = charter::SessionConfig()
       .reversals(static_cast<int>(cli.get_int("reversals")))
       .max_gates(static_cast<int>(cli.get_int("max-gates")))
@@ -143,9 +130,7 @@ charter::SessionConfig make_config(const Cli& cli) {
       .threads(static_cast<int>(cli.get_int("threads")))
       .workers(workers)
       .cache_dir(cli.get_string("cache-dir"))
-      .strategy(*strategy)
-      .adaptive(cli.get_bool("adaptive"))
-      .cost_profile(cli.get_string("cost-profile"));
+      .adaptive(cli.get_bool("adaptive"));
   // Workers fork+exec this very binary (`charter worker --fd N`): the
   // children get a fresh address space instead of a forked image.
   if (workers > 0) config.execution().worker_exe("/proc/self/exe");

@@ -104,12 +104,6 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", std::int64_t{2022}, "default master seed");
   cli.add_flag("reversals", std::int64_t{5},
                "default reversed pairs per gate");
-  cli.add_flag("strategy", std::string("auto"),
-               "execution strategy for every job: auto (per-tenant cost "
-               "model), dm, fused, fused-wide, or trajectory");
-  cli.add_flag("cost-profile", std::string(""),
-               "read-only cost-model seed each tenant's planner starts "
-               "from (never written back; empty = cold models)");
   cli.add_flag("adaptive", false,
                "adaptive trajectory budgets: stop unravelling a gate once "
                "its impact rank settles (fixed budgets by default)");
@@ -126,21 +120,12 @@ int main(int argc, char** argv) {
 
     const std::string cache_dir = cli.get_string("cache-dir");
     const int workers = static_cast<int>(cli.get_int("workers"));
-    const std::string strategy_name = cli.get_string("strategy");
-    const auto strategy = charter::exec::strategy_from_name(strategy_name);
-    charter::require(strategy.has_value(),
-                     "unknown --strategy '" + strategy_name +
-                         "' (expected auto, dm, fused, fused-wide, or "
-                         "trajectory)");
     charter::SessionConfig base =
         charter::SessionConfig()
             .shots(cli.get_int("shots"))
             .seed(static_cast<std::uint64_t>(cli.get_int("seed")))
             .reversals(static_cast<int>(cli.get_int("reversals")));
-    base.execution()
-        .workers(workers)
-        .strategy(*strategy)
-        .adaptive(cli.get_bool("adaptive"));
+    base.execution().workers(workers).adaptive(cli.get_bool("adaptive"));
     // Children are fork+exec'd from this binary (`charterd worker`): a
     // multi-threaded daemon must never run forked images directly.
     if (workers > 0) base.execution().worker_exe("/proc/self/exe");
@@ -157,12 +142,6 @@ int main(int argc, char** argv) {
     cs::SchedulerOptions sched_options;
     sched_options.threads = static_cast<int>(cli.get_int("threads"));
     sched_options.max_queued_jobs = limits.max_queued_jobs;
-    sched_options.cost_profile = cli.get_string("cost-profile");
-    // Validate the seed profile once, up front: a corrupt file should
-    // fail the daemon's startup loudly, not degrade every tenant quietly.
-    if (!sched_options.cost_profile.empty())
-      charter::exec::StrategyPlanner().load_profile(
-          sched_options.cost_profile);
     cs::Scheduler scheduler(backend, sched_options);
     cs::Service service(backend, base, limits, scheduler);
     cs::SocketServer server(service, scheduler, cli.get_string("socket"));

@@ -2,8 +2,8 @@
 """Validate the bench JSON artifacts the CI smoke runs record.
 
 CI uploads BENCH_exec.json / BENCH_kernels.json / BENCH_trajectory.json /
-BENCH_multiprocess.json / BENCH_strategy.json / BENCH_characterize.json
-(via actions/upload-artifact)
+BENCH_multiprocess.json / BENCH_characterize.json (via
+actions/upload-artifact)
 so the perf trajectory accumulates run over run; this gate fails the job
 when an artifact is missing, malformed, or has lost a metric key — a silent
 schema drift would otherwise leave holes in the trend right when a
@@ -179,6 +179,21 @@ def check_trajectory(path, data):
         ok &= require_number(path, fan, "cpu_util", minimum=0.0)
         if fan.get("bit_identical") is not True:
             ok = fail(path, "fanout jobs differ from run_trajectories")
+    # Adaptive trajectory budgets: early termination must save trajectories
+    # without touching the top-k gate ranking.
+    adaptive = data.get("adaptive")
+    if not isinstance(adaptive, dict):
+        return fail(path, "row 'adaptive' missing")
+    ok &= require_number(path, adaptive, "trajectories_budgeted", minimum=1)
+    ok &= require_number(path, adaptive, "trajectories_executed", minimum=1)
+    ok &= require_number(path, adaptive, "gates_settled_early", minimum=1)
+    ok &= require_number(path, adaptive, "savings_pct", minimum=0.0)
+    if ok and adaptive["trajectories_executed"] >= adaptive[
+        "trajectories_budgeted"
+    ]:
+        ok = fail(path, "adaptive budget saved no trajectories")
+    if adaptive.get("topk_match") is not True:
+        ok = fail(path, "adaptive budget changed the top-k gate ranking")
     return ok
 
 
@@ -210,71 +225,6 @@ def check_multiprocess(path, data):
             ok = fail(
                 path, "report changed after a worker was killed mid-shard"
             )
-    return ok
-
-
-def check_strategy(path, data):
-    ok = True
-    if not isinstance(data.get("simd_active"), str):
-        ok = fail(path, "metric 'simd_active' missing")
-    families = data.get("families")
-    expected = {"qft", "vqe", "random_basis"}
-    if not isinstance(families, list) or not families:
-        ok = fail(path, "metric 'families' missing or empty")
-        families = []
-    seen = set()
-    for row in families:
-        name = row.get("name")
-        seen.add(name)
-        ok &= require_number(path, row, "qubits", minimum=1)
-        ok &= require_number(path, row, "analyzed_gates", minimum=1)
-        fixed = row.get("fixed")
-        if not isinstance(fixed, dict):
-            ok = fail(path, f"family '{name}': 'fixed' timings missing")
-        else:
-            for key in ("dm_exact_ms", "dm_fused_ms", "dm_fused_wide_ms"):
-                ok &= require_number(path, fixed, key, minimum=0.0)
-        ok &= require_number(path, row, "auto_ms", minimum=0.0)
-        ok &= require_number(path, row, "best_fixed_ms", minimum=0.0)
-        ok &= require_number(path, row, "auto_vs_best", minimum=0.0)
-        # The bench applies the 1.1x bound itself (with an absolute floor
-        # for sub-millisecond sweeps) and records the verdict; the
-        # artifact must prove it held.
-        if row.get("auto_within_bound") is not True:
-            ok = fail(
-                path,
-                f"family '{name}': auto exceeded 1.1x of the best fixed "
-                f"strategy ({row.get('auto_vs_best')}x)",
-            )
-        if row.get("auto_cold_bit_identical") is not True:
-            ok = fail(
-                path,
-                f"family '{name}': cold-planner auto sweep was not "
-                "bit-identical to its incumbent strategy",
-            )
-        if row.get("rankings_match") is not True:
-            ok = fail(
-                path,
-                f"family '{name}': strategies disagree on the gate ranking",
-            )
-        if not isinstance(row.get("auto_pick"), str):
-            ok = fail(path, f"family '{name}': 'auto_pick' missing")
-    if expected - seen:
-        ok = fail(path, f"family rows missing: {expected - seen}")
-    adaptive = data.get("adaptive")
-    if not isinstance(adaptive, dict):
-        ok = fail(path, "metric 'adaptive' missing")
-        return ok
-    ok &= require_number(path, adaptive, "trajectories_budgeted", minimum=1)
-    ok &= require_number(path, adaptive, "trajectories_executed", minimum=1)
-    ok &= require_number(path, adaptive, "gates_settled_early", minimum=1)
-    ok &= require_number(path, adaptive, "savings_pct", minimum=0.0)
-    if ok and adaptive["trajectories_executed"] >= adaptive[
-        "trajectories_budgeted"
-    ]:
-        ok = fail(path, "adaptive budget saved no trajectories")
-    if adaptive.get("topk_match") is not True:
-        ok = fail(path, "adaptive budget changed the top-k gate ranking")
     return ok
 
 
@@ -311,7 +261,6 @@ CHECKERS = {
     "sim_kernels": check_kernels,
     "trajectory": check_trajectory,
     "exec_multiprocess": check_multiprocess,
-    "strategy": check_strategy,
     "characterize": check_characterize,
 }
 
@@ -336,16 +285,6 @@ def summarize(path, data):
             f"inprocess={data['inprocess_ms']:.1f}ms {speed} "
             f"kill_retry_failures={data['kill_retry']['worker_failures']}"
         )
-    elif bench == "strategy":
-        picks = ", ".join(
-            f"{r['name']}={r['auto_pick']}@{r['auto_vs_best']:.2f}x"
-            for r in data["families"]
-        )
-        adaptive = data["adaptive"]
-        print(
-            f"{path}: strategy simd={data['simd_active']} {picks} "
-            f"adaptive_saved={adaptive['savings_pct']:.1f}%"
-        )
     elif bench == "characterize":
         print(
             f"{path}: characterize {data['benchmark']} "
@@ -362,7 +301,8 @@ def summarize(path, data):
             f"coherent={data['coherent']['speedup']:.2f}x "
             f"full_noise={data['full_noise']['speedup']:.2f}x "
             f"fanout={data['fanout']['wall_ms']:.0f}ms "
-            f"cpu_util={data['fanout']['cpu_util']:.2f}"
+            f"cpu_util={data['fanout']['cpu_util']:.2f} "
+            f"adaptive_saved={data['adaptive']['savings_pct']:.1f}%"
         )
     else:
         rows = {r["kernel"]: r["speedup"] for r in data["simd"]}
