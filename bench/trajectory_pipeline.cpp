@@ -32,6 +32,8 @@
 //
 // Emits JSON like bench_sim_kernels; CI records the --smoke output as
 // BENCH_trajectory.json and tools/check_bench_trend.py validates the keys.
+// The JSON's "smoke" flag tells the gate whether the sweeps were timed at
+// full size: the coherent row's speedup >= 1.0 bound holds only then.
 //
 // Usage: bench_trajectory_pipeline [--qubits N] [--trajectories N]
 //                                  [--rounds N] [--reps N] [--smoke]
@@ -382,6 +384,7 @@ int main(int argc, char** argv) {
   json += "{\n";
   json += "  \"bench\": \"trajectory\",\n";
   json += "  \"qubits\": " + std::to_string(qubits) + ",\n";
+  json += std::string("  \"smoke\": ") + (smoke ? "true" : "false") + ",\n";
   json += "  \"trajectories\": " + std::to_string(trajectories) + ",\n";
   json += "  \"circuit_ops\": " + std::to_string(circuit.size()) + ",\n";
   json += std::string("  \"simd_active\": \"") +

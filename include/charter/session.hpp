@@ -66,19 +66,6 @@ class ExecutionConfig {
   /// Worker-pool width per job sweep: 0 = one worker per hardware thread.
   /// Results are bit-identical at every value; only wall-clock changes.
   ExecutionConfig& threads(int n) { threads_ = n; return *this; }
-  /// Multi-process sweep sharding: > 0 fans each sweep's checkpoint shards
-  /// and trajectory groups out to that many `charter worker` child
-  /// processes over serialized tapes/snapshots.  0 (default) keeps
-  /// execution in-process.  Reports stay bit-identical at every worker
-  /// count, and a worker killed mid-sweep is retried in-process.
-  ExecutionConfig& workers(int n) { workers_ = n; return *this; }
-  /// Executable to fork+exec as each worker (`<exe> worker --fd N`); the
-  /// CLI and charterd pass their own binary.  Empty (default): plain fork
-  /// of the current process image.  Only meaningful with workers > 0.
-  ExecutionConfig& worker_exe(std::string exe) {
-    worker_exe_ = std::move(exe);
-    return *this;
-  }
 
   // -- tape optimization --------------------------------------------------
   /// Fuse the lowered noise tape (faster, ~1e-12 agreement; the exact
@@ -129,8 +116,6 @@ class ExecutionConfig {
 
   // -- getters ------------------------------------------------------------
   int threads() const { return threads_; }
-  int workers() const { return workers_; }
-  const std::string& worker_exe() const { return worker_exe_; }
   bool fused() const { return fused_; }
   bool common_random_numbers() const { return crn_; }
   bool checkpointing() const { return checkpointing_; }
@@ -144,8 +129,6 @@ class ExecutionConfig {
 
  private:
   int threads_ = 0;
-  int workers_ = 0;
-  std::string worker_exe_;
   bool fused_ = false;
   bool crn_ = false;
   bool checkpointing_ = true;

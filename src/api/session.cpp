@@ -32,12 +32,6 @@ std::vector<std::string> SessionConfig::validate() const {
   if (exec_.threads() < 0)
     flag("threads must be >= 0 (0 = one worker per hardware thread); got " +
          std::to_string(exec_.threads()));
-  if (exec_.workers() < 0)
-    flag("workers must be >= 0 (0 = in-process execution); got " +
-         std::to_string(exec_.workers()));
-  if (!exec_.worker_exe().empty() && exec_.workers() == 0)
-    flag("worker_exe is set but workers is 0; set workers >= 1 or drop "
-         "worker_exe");
   if (exec_.checkpointing() && exec_.checkpoint_memory_bytes() == 0)
     flag("checkpoint_memory_bytes must be > 0 when checkpointing is on; "
          "disable checkpointing instead of zeroing its budget");
@@ -73,8 +67,6 @@ core::CharterOptions SessionConfig::resolved() const {
   o.exec.caching = exec_.caching();
   o.exec.checkpoint_memory_bytes = exec_.checkpoint_memory_bytes();
   o.exec.threads = exec_.threads();
-  o.exec.workers = exec_.workers();
-  o.exec.worker_exe = exec_.worker_exe();
   o.budget = exec_.adaptive() ? exec::BudgetMode::kAdaptive
                               : exec::BudgetMode::kFixedBudget;
   return o;

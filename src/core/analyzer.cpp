@@ -128,9 +128,6 @@ void accumulate_stats(exec::BatchRunner::Stats& total,
   total.trajectory_checkpointed += s.trajectory_checkpointed;
   total.full_runs += s.full_runs;
   total.checkpoint_fallbacks += s.checkpoint_fallbacks;
-  total.worker_jobs += s.worker_jobs;
-  total.worker_failures += s.worker_failures;
-  total.worker_retried_jobs += s.worker_retried_jobs;
   total.strategy_jobs.dm_exact += s.strategy_jobs.dm_exact;
   total.strategy_jobs.dm_fused += s.strategy_jobs.dm_fused;
   total.strategy_jobs.dm_fused_wide += s.strategy_jobs.dm_fused_wide;

@@ -1,21 +1,15 @@
 #include "exec/batch.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "exec/checkpoint.hpp"
 #include "exec/sharding.hpp"
 #include "exec/trajectory_plan.hpp"
-#include "exec/worker.hpp"
 #include "noise/executor.hpp"
-#include "noise/serialize.hpp"
 #include "sim/density_matrix.hpp"
-#include "sim/snapshot.hpp"
 #include "sim/trajectory.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -212,62 +206,6 @@ std::vector<std::vector<double>> BatchRunner::run(
     return *pool_storage;
   };
 
-  // Multi-process mode (options_.workers > 0): worker children spawn
-  // lazily, once, and are shared by every route in this run().  A worker
-  // that dies in one route stays dead for the next — degraded, never
-  // wrong, since every failed unit is retried in-process.
-  std::optional<WorkerSet> worker_storage;
-  const auto worker_set = [&]() -> WorkerSet& {
-    if (!worker_storage)
-      worker_storage.emplace(options_.workers, options_.worker_exe);
-    return *worker_storage;
-  };
-  std::atomic<std::size_t> mp_units{0};     // units served by workers
-  std::atomic<std::size_t> mp_failures{0};  // worker deaths detected
-  std::atomic<std::size_t> mp_retried{0};   // units retried in-process
-
-  // Driver harness for the multi-process routes: one driver thread per
-  // worker child, claiming unit indices from a shared counter — the
-  // multi-process analogue of pool().run.  Results still land by
-  // submission index, so claim order never reaches the numbers.  The
-  // first driver exception wins and is rethrown after the join.
-  const auto run_drivers =
-      [&](std::size_t num_units,
-          const std::function<void(std::size_t, int, WorkerProcess&)>& body) {
-        WorkerSet& ws = worker_set();
-        std::atomic<std::size_t> next{0};
-        std::mutex err_mu;
-        std::exception_ptr first_error;
-        std::vector<std::thread> drivers;
-        drivers.reserve(ws.size());
-        for (int w = 0; w < static_cast<int>(ws.size()); ++w) {
-          drivers.emplace_back([&, w] {
-            try {
-              WorkerProcess& wp = ws.worker(static_cast<std::size_t>(w));
-              for (;;) {
-                if (cancelled()) return;
-                const std::size_t u =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (u >= num_units) return;
-                body(u, w, wp);
-              }
-            } catch (...) {
-              const std::lock_guard<std::mutex> lock(err_mu);
-              if (!first_error) first_error = std::current_exception();
-            }
-          });
-        }
-        for (std::thread& t : drivers) t.join();
-        if (first_error) std::rethrow_exception(first_error);
-      };
-
-  // Bookkeeping one worker attempt: nullopt means the unit must be redone
-  // in-process; a flipped alive() additionally means the child died.
-  const auto note_worker_miss = [&](const WorkerProcess& wp) {
-    mp_retried.fetch_add(1, std::memory_order_relaxed);
-    if (!wp.alive()) mp_failures.fetch_add(1, std::memory_order_relaxed);
-  };
-
   // Cancellation policy: workers stop claiming tasks once the flag is set
   // (threaded into every pool().run below); between phases the coordinator
   // re-checks and abandons the batch.  Partial results never reach the
@@ -306,145 +244,45 @@ std::vector<std::vector<double>> BatchRunner::run(
       segments[k] = plan.segment_of(
           std::min(job.shared_prefix, lowered.local.size()));
     }
-    // In multi-process mode the shard fan-out keys off the worker-process
-    // count (the pool is not used on this route at all).
-    const int fanout =
-        options_.workers > 0 ? options_.workers : pool().num_workers();
     const std::vector<Shard> shards = make_shards(
-        dm_idx, segments, default_max_shard_jobs(dm_idx.size(), fanout));
+        dm_idx, segments,
+        default_max_shard_jobs(dm_idx.size(), pool().num_workers()));
 
-    if (options_.workers > 0) {
-      // Multi-process dispatch: each driver claims whole shards, ships the
-      // prepared (spliced + optimized) tape and its snapshot to its worker
-      // child as serialized blobs, and reads back raw probability doubles.
-      // The child interprets exactly the bytes an in-process run_shared
-      // would interpret, so the results are bit-identical at any worker
-      // count.  A dead worker's unit is redone here from the same
-      // PreparedResume — never by calling run_shared again, which would
-      // double-count the plan's resumed/replayed stats.
-      WorkerEngines engines(options_.workers);
-      // Consecutive jobs in a shard resume from the same snapshot; cache
-      // its serialization per driver.
-      struct SnapCache {
-        const std::vector<math::cplx>* key = nullptr;
-        std::vector<std::uint8_t> bytes;
-      };
-      std::vector<SnapCache> snap_cache(
-          static_cast<std::size_t>(options_.workers));
-      std::once_flag base_tape_once;
-      std::vector<std::uint8_t> base_tape_bytes;
-      const auto base_fused_tape = [&]() -> const std::vector<std::uint8_t>& {
-        std::call_once(base_tape_once, [&] {
-          base_tape_bytes = noise::serialize_tape(executor.lower(lowered.local));
-        });
-        return base_tape_bytes;
-      };
-
-      run_drivers(shards.size(), [&](std::size_t s, int w, WorkerProcess& wp) {
-        for (const std::size_t i : shards[s].jobs) {
-          // One shard holds many jobs; honor cancellation between them.
-          if (cancelled()) return;
-          const AnalysisJob& job = jobs[i];
-          std::vector<double> probs;
-          if (job.program == base && opt == noise::OptLevel::kExact) {
-            // The exact sweep already ran the base to completion.
-            probs = plan.base_probabilities();
-          } else if (job.program == base) {
-            // Fused base: one full fused execution (executor.run ==
-            // lower().execute(), so the shipped tape matches it exactly).
-            std::optional<std::vector<double>> r;
-            if (wp.alive()) {
-              r = wp.run_tape(base_fused_tape(), 0, {});
-              if (r) mp_units.fetch_add(1, std::memory_order_relaxed);
-              else note_worker_miss(wp);
-            }
-            if (r) {
-              probs = std::move(*r);
-            } else {
-              sim::DensityMatrixEngine& engine =
-                  engines.get(w, lowered.local.num_qubits());
-              executor.run(lowered.local, engine);
-              probs = engine.probabilities();
-            }
-          } else {
-            const circ::Circuit derived =
-                backend::compact_to(job.program->physical, lowered.kept);
-            std::optional<CheckpointPlan::PreparedResume> prep =
-                plan.prepare_shared(derived, job.shared_prefix);
-            if (!prep) {
-              // Unprovable prefix: cold run, in-process (same as the
-              // run_shared fallback; prepare_shared bumped the stat).
-              sim::DensityMatrixEngine& engine =
-                  engines.get(w, lowered.local.num_qubits());
-              executor.run(derived, engine);
-              probs = engine.probabilities();
-            } else {
-              std::optional<std::vector<double>> r;
-              if (wp.alive()) {
-                SnapCache& sc = snap_cache[static_cast<std::size_t>(w)];
-                if (sc.key != prep->snapshot) {
-                  sc.bytes = sim::serialize_snapshot(
-                      lowered.local.num_qubits(), *prep->snapshot);
-                  sc.key = prep->snapshot;
-                }
-                r = wp.run_tape(noise::serialize_tape(prep->tape),
-                                prep->resume_pos, sc.bytes);
-                if (r) mp_units.fetch_add(1, std::memory_order_relaxed);
-                else note_worker_miss(wp);
-              }
-              if (r) {
-                probs = std::move(*r);
-              } else {
-                sim::DensityMatrixEngine& engine =
-                    engines.get(w, lowered.local.num_qubits());
-                engine.load_state(*prep->snapshot);
-                prep->tape.run(engine, prep->resume_pos, prep->tape.size());
-                probs = engine.probabilities();
-              }
-            }
-          }
-          results[i] = backend_.finalize(std::move(probs), lowered,
-                                         *job.program, job.run);
-          notify_done(i);
-        }
-      });
-    } else {
-      WorkerEngines engines(pool().num_workers());
-      pool().run(static_cast<std::int64_t>(shards.size()),
-               [&](std::int64_t s, int worker) {
-                 for (const std::size_t i :
-                      shards[static_cast<std::size_t>(s)].jobs) {
-                   // One shard holds many jobs; honor cancellation between
-                   // them, not just between shards.
-                   if (cancelled()) return;
-                   const AnalysisJob& job = jobs[i];
-                   std::vector<double> probs;
-                   if (job.program == base &&
-                       opt == noise::OptLevel::kExact) {
-                     // The exact sweep already ran the base to completion.
-                     probs = plan.base_probabilities();
+    WorkerEngines engines(pool().num_workers());
+    pool().run(static_cast<std::int64_t>(shards.size()),
+             [&](std::int64_t s, int worker) {
+               for (const std::size_t i :
+                    shards[static_cast<std::size_t>(s)].jobs) {
+                 // One shard holds many jobs; honor cancellation between
+                 // them, not just between shards.
+                 if (cancelled()) return;
+                 const AnalysisJob& job = jobs[i];
+                 std::vector<double> probs;
+                 if (job.program == base &&
+                     opt == noise::OptLevel::kExact) {
+                   // The exact sweep already ran the base to completion.
+                   probs = plan.base_probabilities();
+                 } else {
+                   sim::DensityMatrixEngine& engine =
+                       engines.get(worker, lowered.local.num_qubits());
+                   if (job.program == base) {
+                     // Fused mode: run the base as one full fused execution
+                     // so its distribution matches a standalone fused run
+                     // exactly (the checkpoint sweep is exact by design).
+                     executor.run(lowered.local, engine);
+                     probs = engine.probabilities();
                    } else {
-                     sim::DensityMatrixEngine& engine =
-                         engines.get(worker, lowered.local.num_qubits());
-                     if (job.program == base) {
-                       // Fused mode: run the base as one full fused execution
-                       // so its distribution matches a standalone fused run
-                       // exactly (the checkpoint sweep is exact by design).
-                       executor.run(lowered.local, engine);
-                       probs = engine.probabilities();
-                     } else {
-                       probs = plan.run_shared(
-                           backend::compact_to(job.program->physical,
-                                               lowered.kept),
-                           job.shared_prefix, engine);
-                     }
+                     probs = plan.run_shared(
+                         backend::compact_to(job.program->physical,
+                                             lowered.kept),
+                         job.shared_prefix, engine);
                    }
-                   results[i] = backend_.finalize(std::move(probs), lowered,
-                                                  *job.program, job.run);
-                   notify_done(i);
                  }
-               }, cancel);
-    }
+                 results[i] = backend_.finalize(std::move(probs), lowered,
+                                                *job.program, job.run);
+                 notify_done(i);
+               }
+             }, cancel);
     throw_if_cancelled();
     stats_.checkpoint_fallbacks += plan.stats().fallbacks;
     stats_.checkpointed = dm_idx.size() - plan.stats().fallbacks;
@@ -559,63 +397,25 @@ std::vector<std::vector<double>> BatchRunner::run(
       const auto seed_of = [&](std::size_t k) {
         return jobs[traj_plain[k]].run.seed ^ backend::kTrajectorySeedSalt;
       };
-      // Phase 2: the unravellings, folded per job in index order by the
-      // job's TrajectoryFold, so the result cannot tell which thread or
-      // process produced which part.
-      if (options_.workers > 0) {
-        // Multi-process: ship each job's lowered tape (serialized once)
-        // with a (begin, end, seed) fold-group assignment; the child re-runs
-        // run_trajectory_group with an identically seeded Rng, so the
-        // partial sums carry the exact bits an in-process group produces.
-        std::vector<std::pair<std::size_t, int>> units;
-        for (std::size_t k = 0; k < traj_plain.size(); ++k)
-          for (int g = 0; g < sim::num_trajectory_groups(
-                                  jobs[traj_plain[k]].run.trajectories);
-               ++g)
-            units.emplace_back(k, g);
-        std::vector<std::vector<std::uint8_t>> tapes(traj_plain.size());
-        for (std::size_t k = 0; k < traj_plain.size(); ++k)
-          tapes[k] = noise::serialize_tape(runs[k].tape);
-        run_drivers(units.size(),
-                    [&](std::size_t u, int /*w*/, WorkerProcess& wp) {
-          const auto [k, g] = units[u];
-          TrajRun& r = runs[k];
-          const int total = jobs[traj_plain[k]].run.trajectories;
-          const int begin = g * sim::kTrajectoryGroupSize;
-          const int end = std::min(begin + sim::kTrajectoryGroupSize, total);
-          std::optional<std::vector<double>> res;
-          if (wp.alive()) {
-            res = wp.run_trajectory_group(tapes[k], begin, end, seed_of(k));
-            if (res) mp_units.fetch_add(1, std::memory_order_relaxed);
-            else note_worker_miss(wp);
-          }
-          if (!res) {
-            res = sim::run_trajectory_group(
-                r.lowered->local.num_qubits(), begin, end,
-                util::Rng(seed_of(k)),
-                [&](sim::NoisyEngine& engine) { r.tape.execute(engine); });
-          }
-          r.fold->add_group(g, std::move(*res));
-        });
-      } else {
-        // In-process: every (job, unravelling) pair is one pool task, so a
-        // batch keeps every worker busy even when it has fewer jobs than
-        // workers or a job count that does not divide evenly.
-        std::vector<std::pair<std::size_t, int>> units;
-        for (std::size_t k = 0; k < traj_plain.size(); ++k)
-          for (int t = 0; t < jobs[traj_plain[k]].run.trajectories; ++t)
-            units.emplace_back(k, t);
-        pool().run(static_cast<std::int64_t>(units.size()),
-                 [&](std::int64_t u, int /*worker*/) {
-                   const auto [k, t] = units[static_cast<std::size_t>(u)];
-                   TrajRun& r = runs[k];
-                   sim::TrajectoryEngine engine(
-                       r.lowered->local.num_qubits(),
-                       sim::trajectory_engine_seed(util::Rng(seed_of(k)), t));
-                   r.tape.execute(engine);
-                   r.fold->add(t, engine.probabilities());
-                 }, cancel);
-      }
+      // Phase 2: the unravellings.  Every (job, unravelling) pair is one
+      // pool task, so a batch keeps every worker busy even when it has fewer
+      // jobs than workers or a job count that does not divide evenly; each
+      // job's TrajectoryFold sums them in index order, so the result cannot
+      // tell which thread produced which part.
+      std::vector<std::pair<std::size_t, int>> units;
+      for (std::size_t k = 0; k < traj_plain.size(); ++k)
+        for (int t = 0; t < jobs[traj_plain[k]].run.trajectories; ++t)
+          units.emplace_back(k, t);
+      pool().run(static_cast<std::int64_t>(units.size()),
+               [&](std::int64_t u, int /*worker*/) {
+                 const auto [k, t] = units[static_cast<std::size_t>(u)];
+                 TrajRun& r = runs[k];
+                 sim::TrajectoryEngine engine(
+                     r.lowered->local.num_qubits(),
+                     sim::trajectory_engine_seed(util::Rng(seed_of(k)), t));
+                 r.tape.execute(engine);
+                 r.fold->add(t, engine.probabilities());
+               }, cancel);
       throw_if_cancelled();
       // Phase 3: fold and finalize (one task per job).
       pool().run(static_cast<std::int64_t>(traj_plain.size()),
@@ -632,9 +432,6 @@ std::vector<std::vector<double>> BatchRunner::run(
     stats_.full_runs = plain_idx.size();
   }
   throw_if_cancelled();
-  stats_.worker_jobs = mp_units.load();
-  stats_.worker_failures = mp_failures.load();
-  stats_.worker_retried_jobs = mp_retried.load();
 
   if (caching) {
     for (std::size_t i = 0; i < jobs.size(); ++i)

@@ -44,7 +44,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "backend/backend.hpp"
@@ -86,19 +85,6 @@ struct BatchOptions {
   /// daemon's concurrency is bounded by a single width knob.  The pool
   /// serves one run() at a time — callers multiplex at job granularity.
   util::ThreadPool* pool = nullptr;
-  /// Multi-process sweep sharding: > 0 fans checkpoint-segment shards and
-  /// trajectory fold groups out to that many `charter worker` child processes
-  /// over serialized tapes and snapshots (exec/worker.hpp).  0 (default)
-  /// keeps everything in-process.  Results are bit-identical at every
-  /// worker count — the payloads carry raw double bits and the reduction
-  /// stays submission-index-ordered.  A worker that dies mid-shard is
-  /// detected and its units are retried in-process, so a sweep always
-  /// completes.
-  int workers = 0;
-  /// Executable to fork+exec as each worker (`<exe> worker --fd N`); the
-  /// CLI and charterd pass /proc/self/exe.  Empty: plain fork of the
-  /// current image (the library/test path — no binary needed).
-  std::string worker_exe;
 };
 
 /// Observation and cancellation hooks for one BatchRunner::run call.
@@ -153,16 +139,6 @@ class BatchRunner {
     /// Checkpoint-eligible jobs whose prefix could not be proven exact at
     /// run time and were re-simulated cold (still correct, just slower).
     std::size_t checkpoint_fallbacks = 0;
-    /// Work units (checkpoint resumes, full tapes, trajectory groups)
-    /// executed by `charter worker` child processes.  0 when workers == 0.
-    std::size_t worker_jobs = 0;
-    /// Worker children that died mid-sweep (EOF on the socket + waitpid);
-    /// a dead worker is never revived within the run.
-    std::size_t worker_failures = 0;
-    /// Work units retried in-process after a worker failure or a
-    /// structured worker error; the retry reuses the exact prepared
-    /// tape/snapshot, so the final report is unchanged.
-    std::size_t worker_retried_jobs = 0;
     /// How the executed (non-cache-hit) jobs ran, by path, counted on
     /// every run.  checkpoint_splice counts DM jobs resumed from a shared
     /// prefix snapshot; the dm_* counters cover full DM walks at each tape

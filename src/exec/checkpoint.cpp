@@ -1,6 +1,7 @@
 #include "exec/checkpoint.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "util/error.hpp"
@@ -78,8 +79,9 @@ std::size_t CheckpointPlan::segment_of(std::size_t prefix_len) const {
   return segment;
 }
 
-std::optional<CheckpointPlan::PreparedResume> CheckpointPlan::prepare_shared(
-    const circ::Circuit& c, std::size_t prefix_len) const {
+std::vector<double> CheckpointPlan::run_shared(
+    const circ::Circuit& c, std::size_t prefix_len,
+    sim::DensityMatrixEngine& engine) const {
   require(c.num_qubits() == base_.num_qubits(),
           "derived circuit width differs from the base");
 
@@ -100,7 +102,8 @@ std::optional<CheckpointPlan::PreparedResume> CheckpointPlan::prepare_shared(
 
   if (!spliced.has_value()) {
     fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+    executor_.run(c, engine);
+    return engine.probabilities();
   }
 
   // Resume at the tape position of the snapshot; in fused mode, optimize
@@ -116,19 +119,8 @@ std::optional<CheckpointPlan::PreparedResume> CheckpointPlan::prepare_shared(
   replayed_ops_.fetch_add(prefix_len - snapshot->prefix_len,
                           std::memory_order_relaxed);
   resumed_.fetch_add(1, std::memory_order_relaxed);
-  return PreparedResume{std::move(tape), resume_pos, &snapshot->rho};
-}
-
-std::vector<double> CheckpointPlan::run_shared(
-    const circ::Circuit& c, std::size_t prefix_len,
-    sim::DensityMatrixEngine& engine) const {
-  std::optional<PreparedResume> prep = prepare_shared(c, prefix_len);
-  if (!prep.has_value()) {
-    executor_.run(c, engine);
-    return engine.probabilities();
-  }
-  engine.load_state(*prep->snapshot);
-  prep->tape.run(engine, prep->resume_pos, prep->tape.size());
+  engine.load_state(snapshot->rho);
+  tape.run(engine, resume_pos, tape.size());
   return engine.probabilities();
 }
 

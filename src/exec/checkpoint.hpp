@@ -27,9 +27,9 @@
 /// e.g. when an un-isolated insertion overlaps a late-starting prefix op on
 /// another qubit; on any mismatch the circuit silently falls back to a full
 /// cold run, so checkpointing is always safe and never approximate.
-/// Stochastic engines (trajectory) and drifted models re-randomize per run
-/// and must not share prefixes at all — BatchRunner routes those to plain
-/// full runs.
+/// Drifted models re-randomize per run and must not share prefixes at all —
+/// BatchRunner routes those to plain full runs; trajectory jobs share
+/// through TrajectoryCheckpointPlan (trajectory_plan.hpp) instead.
 ///
 /// Fused mode.  When the executor carries OptLevel::kFused, the *suffix* of
 /// each resumed run (everything past its snapshot) is fused before
@@ -45,7 +45,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "noise/executor.hpp"
@@ -91,28 +90,6 @@ class CheckpointPlan {
   std::vector<double> run_shared(const circ::Circuit& c,
                                  std::size_t prefix_len,
                                  sim::DensityMatrixEngine& engine) const;
-
-  /// A resumable execution prepared for one derived circuit: the spliced
-  /// (and, in fused modes, suffix-optimized) tape, the tape position to
-  /// resume at, and the snapshot state to load first.  `snapshot` points
-  /// into the plan and stays valid for the plan's lifetime.  The tape and
-  /// the doubles in *snapshot are everything an interpreter needs — the
-  /// multi-process driver serializes exactly this pair to a worker child,
-  /// which reproduces run_shared()'s resumed path bit-for-bit.
-  struct PreparedResume {
-    noise::NoiseProgram tape;
-    std::size_t resume_pos = 0;
-    const std::vector<math::cplx>* snapshot = nullptr;
-  };
-
-  /// The splice/optimize/locate-snapshot front half of run_shared(),
-  /// without the execution: nullopt when the prefix is not provably exact
-  /// or no snapshot applies (the caller must run \p c cold).  Accounts the
-  /// plan's resumed/replayed/fallback stats, so a caller pairing
-  /// prepare_shared() with its own interpretation keeps the same counters
-  /// as the run_shared() path.  Thread-safe.
-  std::optional<PreparedResume> prepare_shared(const circ::Circuit& c,
-                                               std::size_t prefix_len) const;
 
   std::size_t num_checkpoints() const { return checkpoints_.size(); }
 

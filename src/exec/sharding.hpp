@@ -37,8 +37,8 @@ std::vector<Shard> make_shards(const std::vector<std::size_t>& job_indices,
                                const std::vector<std::size_t>& segments,
                                std::size_t max_shard_jobs);
 
-/// Shard-size cap that keeps \p num_workers balanced: roughly four claims
-/// per worker across the batch, never below 1.
+/// Shard-size cap that keeps \p num_workers pool workers balanced: roughly
+/// four claims per worker across the batch, never below 1.
 std::size_t default_max_shard_jobs(std::size_t num_jobs, int num_workers);
 
 }  // namespace charter::exec

@@ -227,8 +227,6 @@ class NoiseProgram {
                             std::size_t from_pos);
   friend NoiseProgram fused_wide(const NoiseProgram& program,
                                  std::size_t from_pos, int max_width);
-  friend std::vector<std::uint8_t> serialize_tape(const NoiseProgram& program);
-  friend NoiseProgram deserialize_tape(std::span<const std::uint8_t> bytes);
 
   int num_qubits_;
   OptLevel level_ = OptLevel::kExact;

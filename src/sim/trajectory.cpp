@@ -232,16 +232,6 @@ void TrajectoryFold::add(int t, std::vector<double> probabilities) {
   g.busy = false;
 }
 
-void TrajectoryFold::add_group(int g, std::vector<double> partial) {
-  require(g >= 0 && g < static_cast<int>(groups_.size()),
-          "fold group out of range");
-  const std::lock_guard<std::mutex> lock(mu_);
-  Group& group = groups_[static_cast<std::size_t>(g)];
-  CHARTER_ASSERT(group.added == 0 && !group.busy, "fold group added twice");
-  group.sum = std::move(partial);
-  group.added = group.size;
-}
-
 std::vector<double> TrajectoryFold::finish() {
   const std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::vector<double>> partials;

@@ -89,8 +89,8 @@ class TrajectoryEngine final : public NoisyEngine {
 /// (fold_trajectory_groups).  The unit of parallel work is one unravelling
 /// (run_trajectories, the exec layer's in-process fan-out and the
 /// trajectory checkpoint plan's base sweep all hand each finished
-/// unravelling to a TrajectoryFold); only worker processes still compute
-/// whole groups (run_trajectory_group), which carry the same sums.  Any path
+/// unravelling to a TrajectoryFold); the adaptive sweep computes whole
+/// groups (run_trajectory_group), which carry the same sums.  Any path
 /// that folds with another size drifts from a standalone run by
 /// reassociation.
 inline constexpr int kTrajectoryGroupSize = 8;
@@ -137,10 +137,6 @@ class TrajectoryFold {
   /// Hands over unravelling \p t's probability distribution (non-empty,
   /// entries >= 0).  Each t in [0, num_trajectories) is added exactly once.
   void add(int t, std::vector<double> probabilities);
-
-  /// Hands over a whole group's partial sum (a run_trajectory_group result,
-  /// e.g. from a worker process) in place of its unravellings.
-  void add_group(int g, std::vector<double> partial);
 
   /// Averaged distribution over every unravelling; requires all of them
   /// added.  Consumes the fold; call once, after the last add().

@@ -3,7 +3,7 @@
 // acceptance contract that an injected error channel (over-rotation +
 // depolarizing + readout confusion) is recovered within the bootstrap CI,
 // CharacterizationReport JSON round-trip / corruption rejection, the
-// threads x workers determinism matrix, the Session facade path, and a
+// threads determinism matrix, the Session facade path, and a
 // golden fixture for the full report (regenerate with
 // CHARTER_REGEN_FIXTURES=1, same protocol as test_regression.cpp).
 
@@ -423,18 +423,17 @@ TEST(CharacterizationIo, RejectsCorruptedDocuments) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism matrix: threads x workers
+// Determinism matrix: threads
 // ---------------------------------------------------------------------------
 
-TEST(CharacterizationDeterminism, ThreadsAndWorkersMatrix) {
+TEST(CharacterizationDeterminism, ThreadsMatrix) {
   const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
   const cb::CompiledProgram program = qft3_program(backend);
   const co::CharterReport charter = analyze(backend, program);
 
-  const auto characterize = [&](int threads, int workers) {
+  const auto characterize = [&](int threads) {
     ch::CharacterizeOptions options = quick_options();
     options.exec.threads = threads;
-    options.exec.workers = workers;  // empty worker_exe: plain-fork workers
     ex::RunCache::global().clear();
     const ch::CharacterizationReport report =
         ch::GateCharacterizer(backend, options).characterize(program,
@@ -443,18 +442,12 @@ TEST(CharacterizationDeterminism, ThreadsAndWorkersMatrix) {
     return report;
   };
 
-  const ch::CharacterizationReport baseline = characterize(1, 0);
+  const ch::CharacterizationReport baseline = characterize(1);
   ASSERT_EQ(baseline.gates.size(), 2u);
   EXPECT_EQ(baseline.total_sequences, 2u * 4u);
-  for (const int threads : {1, 2, 8}) {
-    for (const int workers : {0, 2}) {
-      if (threads == 1 && workers == 0) continue;
-      const std::string label = "threads=" + std::to_string(threads) +
-                                " workers=" + std::to_string(workers);
-      expect_reports_identical(baseline, characterize(threads, workers),
-                               label);
-    }
-  }
+  for (const int threads : {2, 4})
+    expect_reports_identical(baseline, characterize(threads),
+                             "threads=" + std::to_string(threads));
 }
 
 TEST(CharacterizationDeterminism, WarmRunCacheIsBitIdentical) {

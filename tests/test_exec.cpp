@@ -893,101 +893,6 @@ TEST(DeterminismMatrix, ReportsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(DeterminismMatrix, ReportsBitIdenticalAcrossWorkerProcesses) {
-  // The multi-process extension of the matrix above: the full report is
-  // bit-identical whether shards run in-process or in 1/2/4 `charter
-  // worker` children (plain-fork mode — worker_exe empty), because the
-  // wire formats carry raw double bits and the reduction stays
-  // submission-index-ordered.
-  const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
-  const cb::CompiledProgram program = compiled_program(backend, 2);
-
-  struct Config {
-    const char* name;
-    co::CharterOptions options;
-  };
-  std::vector<Config> configs;
-  {
-    co::CharterOptions dm;
-    dm.reversals = 2;
-    dm.run.shots = 4096;
-    dm.run.seed = 2022;
-    configs.push_back({"dm_exact", dm});
-
-    co::CharterOptions traj;
-    traj.reversals = 2;
-    traj.max_gates = 4;
-    traj.run.shots = 512;
-    traj.run.engine = cb::EngineKind::kTrajectory;
-    traj.run.trajectories = 6;
-    traj.run.seed = 3;
-    configs.push_back({"trajectory_independent_seeds", traj});
-  }
-
-  for (const Config& config : configs) {
-    const MatrixRun inproc =
-        analyze_at_width(backend, program, config.options, 2);
-    for (const int workers : {1, 2, 4}) {
-      co::CharterOptions options = config.options;
-      options.exec.workers = workers;
-      const MatrixRun multi = analyze_at_width(backend, program, options, 2);
-      const std::string label =
-          std::string(config.name) + " workers=" + std::to_string(workers);
-      expect_reports_identical(inproc.cold_report, multi.cold_report,
-                               label + " cold");
-      expect_reports_identical(inproc.warm_report, multi.warm_report,
-                               label + " warm");
-      expect_stats_identical(inproc.cold_stats, multi.cold_stats,
-                             label + " cold stats");
-      EXPECT_GT(multi.cold_stats.worker_jobs, 0u)
-          << label << ": children served no work";
-      EXPECT_EQ(multi.cold_stats.worker_failures, 0u) << label;
-      // The warm run is all cache hits; no work reaches the children.
-      EXPECT_EQ(multi.warm_stats.worker_jobs, 0u) << label;
-    }
-  }
-}
-
-TEST(MultiProcess, KilledWorkerShardIsRetriedInProcessUnchanged) {
-  // Fault injection: every child SIGKILLs itself after serving one request
-  // (CHARTER_WORKER_KILL_AFTER, inherited across fork).  The sweep must
-  // detect the EOF, retry the dead workers' units in-process, and produce
-  // the exact report an all-in-process run gives.
-  const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
-  const cb::CompiledProgram program = compiled_program(backend, 2);
-  const std::vector<std::size_t> eligible =
-      co::reversible_ops(program.physical, true);
-  ASSERT_GE(eligible.size(), 6u);
-  const std::vector<std::size_t> gates(eligible.begin(), eligible.begin() + 6);
-
-  cb::RunOptions run;
-  run.shots = 1024;
-  run.seed = 5;
-  JobSet set = make_jobs(program, gates, run);
-
-  ex::BatchOptions options;
-  options.caching = false;
-  const ex::BatchRunner baseline(backend, options);
-  const std::vector<std::vector<double>> expected =
-      baseline.run(set.jobs, &program);
-
-  options.workers = 2;
-  ::setenv("CHARTER_WORKER_KILL_AFTER", "1", 1);
-  const ex::BatchRunner faulty(backend, options);
-  const std::vector<std::vector<double>> got = faulty.run(set.jobs, &program);
-  ::unsetenv("CHARTER_WORKER_KILL_AFTER");
-
-  EXPECT_GE(faulty.last_stats().worker_failures, 1u)
-      << "no child died; the fault injection did not fire";
-  EXPECT_GE(faulty.last_stats().worker_retried_jobs, 1u);
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t k = 0; k < expected.size(); ++k) {
-    ASSERT_EQ(got[k].size(), expected[k].size()) << "job " << k;
-    for (std::size_t i = 0; i < expected[k].size(); ++i)
-      EXPECT_EQ(got[k][i], expected[k][i]) << "job " << k << " outcome " << i;
-  }
-}
-
 namespace {
 
 /// The engine-level trajectory average a standalone run computes for \p job
@@ -1012,11 +917,11 @@ bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
 }  // namespace
 
 TEST(BatchRunner, PlainTrajectoryFanOutMatchesRunTrajectoriesPerJob) {
-  // The plain route runs one pool task per unravelling (or one worker unit
-  // per fold group) and folds in index order, so every job must carry the
-  // bits of its own standalone run_trajectories average — for job counts
-  // below, at and above the pool width, trajectory counts inside, at and
-  // across a fold-group boundary, and every threads x workers setting.
+  // The plain route runs one pool task per unravelling and folds in index
+  // order, so every job must carry the bits of its own standalone
+  // run_trajectories average — for job counts below, at and above the pool
+  // width, trajectory counts inside, at and across a fold-group boundary,
+  // and every thread count.
   const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
   const cb::CompiledProgram program = compiled_program(backend, 1);
   const std::vector<std::size_t> eligible =
@@ -1045,22 +950,17 @@ TEST(BatchRunner, PlainTrajectoryFanOutMatchesRunTrajectoriesPerJob) {
       const std::vector<ex::AnalysisJob> jobs(all.begin(),
                                               all.begin() + num_jobs);
       for (const int threads : {1, 2, 4}) {
-        for (const int workers : {0, 2}) {
-          ex::BatchOptions options;
-          options.caching = false;
-          options.threads = threads;
-          options.workers = workers;
-          const ex::BatchRunner runner(backend, options);
-          const std::vector<std::vector<double>> got = runner.run(jobs);
-          EXPECT_EQ(runner.last_stats().full_runs, num_jobs);
-          EXPECT_EQ(runner.last_stats().worker_jobs > 0, workers > 0);
-          ASSERT_EQ(got.size(), num_jobs);
-          for (std::size_t k = 0; k < num_jobs; ++k)
-            EXPECT_TRUE(bits_equal(got[k], expected[k]))
-                << "job " << k << " of " << num_jobs << ", " << trajectories
-                << " trajectories, threads " << threads << ", workers "
-                << workers;
-        }
+        ex::BatchOptions options;
+        options.caching = false;
+        options.threads = threads;
+        const ex::BatchRunner runner(backend, options);
+        const std::vector<std::vector<double>> got = runner.run(jobs);
+        EXPECT_EQ(runner.last_stats().full_runs, num_jobs);
+        ASSERT_EQ(got.size(), num_jobs);
+        for (std::size_t k = 0; k < num_jobs; ++k)
+          EXPECT_TRUE(bits_equal(got[k], expected[k]))
+              << "job " << k << " of " << num_jobs << ", " << trajectories
+              << " trajectories, threads " << threads;
       }
     }
   }

@@ -15,9 +15,7 @@
 #include "noise/calibration.hpp"
 #include "noise/executor.hpp"
 #include "noise/program.hpp"
-#include "noise/serialize.hpp"
 #include "sim/density_matrix.hpp"
-#include "sim/snapshot.hpp"
 #include "sim/trajectory.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -475,160 +473,4 @@ TEST(NoiseProgram, ExecuteRejectsWidthMismatch) {
   const cn::NoiseProgram tape = cn::lower(m, c);
   cs::DensityMatrixEngine narrow(2);
   EXPECT_THROW(tape.execute(narrow), charter::InvalidArgument);
-}
-
-// ---------------------------------------------------------------------------
-// Serialization ("CHP\2" tapes, "CHS\1" snapshots) — the unit the
-// multi-process sweep ships to worker children.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Round-trips \p tape through the byte format and checks losslessness:
-/// same shape, same fingerprint, bit-identical execution.
-void expect_lossless_round_trip(const cn::NoiseProgram& tape, int n) {
-  const std::vector<std::uint8_t> bytes = cn::serialize_tape(tape);
-  const cn::NoiseProgram back = cn::deserialize_tape(bytes);
-
-  EXPECT_EQ(back.num_qubits(), tape.num_qubits());
-  EXPECT_EQ(back.size(), tape.size());
-  EXPECT_EQ(back.fingerprint(), tape.fingerprint());
-
-  cs::DensityMatrixEngine a(n), b(n);
-  tape.execute(a);
-  back.execute(b);
-  EXPECT_EQ(max_abs_diff(a.raw(), b.raw()), 0.0);
-}
-
-}  // namespace
-
-TEST(TapeSerialization, RoundTripsEveryOptLevelLosslessly) {
-  const cn::NoiseModel m = line_model(4, 17);
-  const cc::Circuit c = random_basis_circuit(4, 50, 23);
-  const cn::NoiseProgram exact = cn::lower(m, c);
-  // exact covers the 1q/2q primitive ops; fused adds diag payloads; wide
-  // fusion adds the dense kUnitary2q (mats4) and kUnitary3q (mats8)
-  // payload arrays.
-  expect_lossless_round_trip(exact, 4);
-  expect_lossless_round_trip(cn::fused(exact), 4);
-  expect_lossless_round_trip(cn::fused_wide(exact, 0, 2), 4);
-  expect_lossless_round_trip(cn::fused_wide(exact, 0, 3), 4);
-}
-
-TEST(TapeSerialization, RoundTripsKrausPayloads) {
-  // The analyzer never emits kraus ops; build one by hand so the
-  // kraus_sets side arrays are exercised too.
-  const double p = 0.125;
-  charter::math::Mat2 k0, k1;
-  k0(0, 0) = 1.0;
-  k0(1, 1) = std::sqrt(1.0 - p);
-  k1(0, 1) = std::sqrt(p);
-  const std::array<charter::math::Mat2, 2> kraus = {k0, k1};
-  cn::NoiseProgram tape(2);
-  tape.append_unitary_1q(cc::gate_unitary_1q(cc::make_gate(GateKind::X, {0})),
-                         0);
-  tape.append_kraus_1q(kraus, 0);
-  expect_lossless_round_trip(tape, 2);
-}
-
-TEST(TapeSerialization, ResumeInfoIsDroppedByDesign) {
-  const cn::NoiseModel m = line_model(3, 7);
-  const cc::Circuit c = random_basis_circuit(3, 20, 9);
-  const cn::NoiseProgram tape = cn::lower(m, c, true);
-  ASSERT_TRUE(tape.has_resume_info());
-  const cn::NoiseProgram back =
-      cn::deserialize_tape(cn::serialize_tape(tape));
-  // The parent does all splicing before shipping; the interpreter never
-  // reads ResumeInfo, so the wire format omits it.
-  EXPECT_FALSE(back.has_resume_info());
-}
-
-TEST(TapeSerialization, RejectsMalformedBlobsAsStructuredErrors) {
-  const cn::NoiseModel m = line_model(3, 29);
-  const cc::Circuit c = random_basis_circuit(3, 15, 31);
-  const std::vector<std::uint8_t> good =
-      cn::serialize_tape(cn::fused_wide(cn::lower(m, c)));
-
-  // Empty and truncated-at-every-prefix blobs.
-  EXPECT_THROW(cn::deserialize_tape({}), charter::InvalidArgument);
-  for (std::size_t len : {std::size_t{1}, std::size_t{3}, std::size_t{8},
-                          good.size() / 2, good.size() - 1}) {
-    const std::vector<std::uint8_t> cut(good.begin(),
-                                        good.begin() + static_cast<long>(len));
-    EXPECT_THROW(cn::deserialize_tape(cut), charter::InvalidArgument)
-        << "truncated to " << len << " bytes";
-  }
-
-  // Wrong magic and wrong version.
-  std::vector<std::uint8_t> bad = good;
-  bad[0] ^= 0xFF;
-  EXPECT_THROW(cn::deserialize_tape(bad), charter::InvalidArgument);
-  bad = good;
-  bad[4] ^= 0x01;  // version u32 low byte
-  EXPECT_THROW(cn::deserialize_tape(bad), charter::InvalidArgument);
-
-  // Any single flipped byte fails the trailing checksum (or a field
-  // validation) — fuzz a spread of positions deterministically.
-  charter::util::Rng rng(2022);
-  for (int i = 0; i < 64; ++i) {
-    bad = good;
-    const std::size_t at = rng.uniform_int(bad.size());
-    bad[at] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(8));
-    EXPECT_THROW(cn::deserialize_tape(bad), charter::InvalidArgument)
-        << "flipped byte " << at;
-  }
-}
-
-TEST(TapeSerialization, RandomizedRoundTripsStayLossless) {
-  // Fuzz-ish sweep: many random circuits, widths, and opt levels.
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const int n = 2 + static_cast<int>(seed % 3);
-    const cn::NoiseModel m = line_model(n, seed * 13);
-    const cc::Circuit c =
-        random_basis_circuit(n, 10 + static_cast<int>(seed) * 7, seed * 37);
-    const cn::NoiseProgram exact = cn::lower(m, c);
-    expect_lossless_round_trip(exact, n);
-    expect_lossless_round_trip(seed % 2 == 0 ? cn::fused(exact)
-                                             : cn::fused_wide(exact),
-                               n);
-  }
-}
-
-TEST(SnapshotSerialization, RoundTripsEngineStateBitExactly) {
-  const cn::NoiseModel m = line_model(3, 3);
-  const cc::Circuit c = random_basis_circuit(3, 25, 5);
-  cs::DensityMatrixEngine engine(3);
-  cn::lower(m, c).execute(engine);
-
-  std::vector<charter::math::cplx> state;
-  engine.save_state(state);
-  const std::vector<std::uint8_t> bytes = cs::serialize_snapshot(3, state);
-  const cs::SnapshotData back = cs::deserialize_snapshot(bytes);
-
-  ASSERT_EQ(back.num_qubits, 3);
-  ASSERT_EQ(back.state.size(), state.size());
-  EXPECT_EQ(max_abs_diff(back.state, state), 0.0);
-
-  // A second engine restored from the blob continues identically.
-  cs::DensityMatrixEngine restored(3);
-  restored.load_state(back.state);
-  EXPECT_EQ(max_abs_diff(restored.raw(), engine.raw()), 0.0);
-}
-
-TEST(SnapshotSerialization, RejectsMalformedBlobs) {
-  const std::vector<charter::math::cplx> state(16, {0.25, 0.0});
-  const std::vector<std::uint8_t> good = cs::serialize_snapshot(2, state);
-
-  EXPECT_THROW(cs::deserialize_snapshot({}), charter::InvalidArgument);
-  std::vector<std::uint8_t> bad(good.begin(), good.end() - 1);
-  EXPECT_THROW(cs::deserialize_snapshot(bad), charter::InvalidArgument);
-  bad = good;
-  bad[2] = 'X';  // magic
-  EXPECT_THROW(cs::deserialize_snapshot(bad), charter::InvalidArgument);
-  bad = good;
-  bad[4] ^= 0x02;  // version
-  EXPECT_THROW(cs::deserialize_snapshot(bad), charter::InvalidArgument);
-  bad = good;
-  bad[good.size() / 2] ^= 0x10;  // payload byte: checksum must catch it
-  EXPECT_THROW(cs::deserialize_snapshot(bad), charter::InvalidArgument);
 }

@@ -17,8 +17,6 @@
 //   input    --algo <key>         input-block reversal impact
 //   mitigate --algo <key>         serialize top layers, report error change
 //   qasm     --algo <key>         emit the compiled circuit as OpenQASM 2.0
-//   worker   --fd <n>             multi-process sweep child (internal; the
-//                                 exec layer spawns these for --workers N)
 //
 // Every subcommand accepts --help; the analysis ones accept
 // --backend lagos|guadalupe (default by size), --reversals, --shots,
@@ -38,7 +36,6 @@
 
 #include "characterize/report_io.hpp"
 #include "circuit/qasm_parser.hpp"
-#include "exec/worker.hpp"
 #include "math/simd_dispatch.hpp"
 #include "noise/program.hpp"
 #include "service/client.hpp"
@@ -78,9 +75,6 @@ void add_common_flags(Cli& cli) {
   cli.add_flag("threads", std::int64_t{0},
                "analysis worker-pool width (0 = all hardware threads; "
                "results are identical at every value)");
-  cli.add_flag("workers", std::int64_t{0},
-               "fan the sweep out to N `charter worker` child processes "
-               "(0 = in-process; results are identical at every value)");
   cli.add_flag("cache-dir", default_cache_dir(),
                "persistent run-cache directory (default $CHARTER_CACHE_DIR; "
                "empty = memory-only)");
@@ -119,7 +113,6 @@ cb::FakeBackend make_backend(const Cli& cli,
 }
 
 charter::SessionConfig make_config(const Cli& cli) {
-  const int workers = static_cast<int>(cli.get_int("workers"));
   charter::SessionConfig config = charter::SessionConfig()
       .reversals(static_cast<int>(cli.get_int("reversals")))
       .max_gates(static_cast<int>(cli.get_int("max-gates")))
@@ -128,29 +121,9 @@ charter::SessionConfig make_config(const Cli& cli) {
   config.execution()
       .fused(cli.get_bool("fused"))
       .threads(static_cast<int>(cli.get_int("threads")))
-      .workers(workers)
       .cache_dir(cli.get_string("cache-dir"))
       .adaptive(cli.get_bool("adaptive"));
-  // Workers fork+exec this very binary (`charter worker --fd N`): the
-  // children get a fresh address space instead of a forked image.
-  if (workers > 0) config.execution().worker_exe("/proc/self/exe");
   return config;
-}
-
-/// The `charter worker` subcommand: serve work units on an inherited
-/// socketpair fd until the parent closes it.  Spawned by the exec layer,
-/// never by hand.
-int cmd_worker(int argc, const char* const* argv) {
-  Cli cli("charter worker: multi-process sweep child (internal)");
-  cli.add_flag("fd", std::int64_t{-1},
-               "inherited socketpair file descriptor to serve on");
-  if (!cli.parse(argc, argv)) return 0;
-  const int fd = static_cast<int>(cli.get_int("fd"));
-  if (fd < 0) {
-    std::fprintf(stderr, "charter worker: --fd is required\n");
-    return 2;
-  }
-  return charter::exec::worker_serve(fd);
 }
 
 int cmd_version(int argc, const char* const* argv) {
@@ -670,7 +643,6 @@ int main(int argc, char** argv) {
     if (cmd == "mitigate") return cmd_mitigate(argc - 1, argv + 1);
     if (cmd == "qasm") return cmd_qasm(argc - 1, argv + 1);
     if (cmd == "client") return cmd_client(argc - 1, argv + 1);
-    if (cmd == "worker") return cmd_worker(argc - 1, argv + 1);
     usage();
     return 2;
   } catch (const charter::Error& e) {

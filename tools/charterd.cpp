@@ -25,14 +25,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
 
 #include <charter/charter.hpp>
 
-#include "exec/worker.hpp"
 #include "service/client.hpp"
 #include "service/scheduler.hpp"
 #include "service/server.hpp"
@@ -52,23 +50,6 @@ std::string env_cache_dir() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `charterd worker --fd N` is the multi-process sweep child the exec
-  // layer fork+execs when --workers is set (exec/worker.hpp).  Dispatch
-  // it before any daemon setup — the child must not inherit the signal
-  // mask or spawn daemon threads.
-  if (argc >= 2 && std::strcmp(argv[1], "worker") == 0) {
-    Cli wcli("charterd worker: multi-process sweep child (internal)");
-    wcli.add_flag("fd", std::int64_t{-1},
-                  "inherited socketpair file descriptor to serve on");
-    if (!wcli.parse(argc - 1, argv + 1)) return 0;
-    const int fd = static_cast<int>(wcli.get_int("fd"));
-    if (fd < 0) {
-      std::fprintf(stderr, "charterd worker: --fd is required\n");
-      return 2;
-    }
-    return charter::exec::worker_serve(fd);
-  }
-
   // Terminal signals are consumed by a dedicated watcher thread via
   // sigtimedwait; block them process-wide before any thread exists so
   // none of the worker/connection threads can receive them instead.
@@ -88,9 +69,6 @@ int main(int argc, char** argv) {
   cli.add_flag("threads", std::int64_t{0},
                "shared worker-pool width (0 = all hardware threads); the "
                "daemon's total simulation concurrency");
-  cli.add_flag("workers", std::int64_t{0},
-               "opt-in: fan each sweep out to N worker child processes "
-               "(0 = in-process; results are identical either way)");
   cli.add_flag("cache-dir", env_cache_dir(),
                "persistent run-cache directory (default $CHARTER_CACHE_DIR; "
                "empty = memory-only)");
@@ -119,16 +97,12 @@ int main(int argc, char** argv) {
                          " (expected lagos or guadalupe)");
 
     const std::string cache_dir = cli.get_string("cache-dir");
-    const int workers = static_cast<int>(cli.get_int("workers"));
     charter::SessionConfig base =
         charter::SessionConfig()
             .shots(cli.get_int("shots"))
             .seed(static_cast<std::uint64_t>(cli.get_int("seed")))
             .reversals(static_cast<int>(cli.get_int("reversals")));
-    base.execution().workers(workers).adaptive(cli.get_bool("adaptive"));
-    // Children are fork+exec'd from this binary (`charterd worker`): a
-    // multi-threaded daemon must never run forked images directly.
-    if (workers > 0) base.execution().worker_exe("/proc/self/exe");
+    base.execution().adaptive(cli.get_bool("adaptive"));
     if (!cache_dir.empty())
       charter::exec::RunCache::global().set_disk_tier(
           cache_dir,
