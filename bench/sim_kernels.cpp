@@ -11,8 +11,7 @@
 //  2. The fused pair kernels vs. the sequential two-pass forms they
 //     replaced, and one diag_run pass over a static-ZZ flush run vs. one
 //     pass per tape op (on the active path; the two must be bit-identical).
-//  3. Fused-tape vs. exact-tape end-to-end execution on the density-matrix
-//     engine.
+//  3. Exact-tape end-to-end execution on the density-matrix engine.
 //
 // Emits JSON (like bench_exec_batching) so the perf trajectory can be
 // tracked across commits; CI uploads the --smoke output as the
@@ -186,7 +185,7 @@ std::vector<simd::DiagFactor> flush_run(int n, cplx ph0, cplx ph1) {
 int main(int argc, char** argv) {
   charter::util::Cli cli(
       "bench_sim_kernels: per-ISA kernel rows, pair kernels, and "
-      "fused-vs-exact tape execution");
+      "exact tape execution");
   cli.add_flag("qubits", std::int64_t{8}, "density-matrix width");
   cli.add_flag("rounds", std::int64_t{12}, "workload rounds (depth scale)");
   cli.add_flag("reps", std::int64_t{5}, "timed repetitions (best-of)");
@@ -280,44 +279,33 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // ---- tape pipeline: exact vs fused end-to-end -------------------------
+  // ---- tape pipeline: exact tape end-to-end ------------------------------
   const cn::NoiseModel model = line_model(qubits);
   const cc::Circuit circuit = workload(qubits, rounds);
   const cn::NoiseProgram exact = cn::lower(model, circuit);
-  const cn::NoiseProgram fused = cn::fused(exact);
 
   cs::DensityMatrixEngine engine(qubits);
   const double exact_s = best_seconds(reps, [&] { exact.execute(engine); });
-  const std::vector<cplx> exact_state = engine.raw();
-  const double fused_s = best_seconds(reps, [&] { fused.execute(engine); });
-  const double agreement = max_abs_diff(exact_state, engine.raw());
 
   const double pair_speedup = pair_s > 0.0 ? two_pass_s / pair_s : 0.0;
   const double diag_run_speedup =
       diag_run_s > 0.0 ? diag_per_op_s / diag_run_s : 0.0;
-  const double tape_speedup = fused_s > 0.0 ? exact_s / fused_s : 0.0;
 
   char tail[1024];
   std::snprintf(tail, sizeof(tail),
                 "  \"circuit_ops\": %zu,\n"
                 "  \"tape_ops_exact\": %zu,\n"
-                "  \"tape_ops_fused\": %zu,\n"
                 "  \"kernel_two_pass_ms\": %.4f,\n"
                 "  \"kernel_pair_ms\": %.4f,\n"
                 "  \"kernel_pair_speedup\": %.3f,\n"
                 "  \"kernel_diag_per_op_ms\": %.4f,\n"
                 "  \"kernel_diag_run_ms\": %.4f,\n"
                 "  \"diag_run_speedup\": %.3f,\n"
-                "  \"tape_exact_ms\": %.3f,\n"
-                "  \"tape_fused_ms\": %.3f,\n"
-                "  \"tape_fused_speedup\": %.3f,\n"
-                "  \"fused_max_abs_diff\": %.3e\n"
+                "  \"tape_exact_ms\": %.3f\n"
                 "}\n",
-                circuit.size(), exact.size(), fused.size(), two_pass_s * 1e3,
-                pair_s * 1e3, pair_speedup, diag_per_op_s * 1e3,
-                diag_run_s * 1e3, diag_run_speedup, exact_s * 1e3,
-                fused_s * 1e3,
-                tape_speedup, agreement);
+                circuit.size(), exact.size(), two_pass_s * 1e3, pair_s * 1e3,
+                pair_speedup, diag_per_op_s * 1e3, diag_run_s * 1e3,
+                diag_run_speedup, exact_s * 1e3);
   json += tail;
   std::fputs(json.c_str(), stdout);
 
@@ -330,15 +318,5 @@ int main(int argc, char** argv) {
                "per-op passes %.2fx\n",
                r_pair.speedup, r_cx.speedup, r_diag.speedup,
                simd::path_name(best), diag_run_speedup);
-
-  if (fused.size() >= exact.size()) {
-    std::fprintf(stderr, "FAIL: fusion did not shrink the tape\n");
-    return 1;
-  }
-  if (!(agreement <= 1e-12)) {
-    std::fprintf(stderr, "FAIL: fused tape diverged (%.3e > 1e-12)\n",
-                 agreement);
-    return 1;
-  }
   return 0;
 }

@@ -1,16 +1,13 @@
-// Benchmark of the fused-wide trajectory pipeline: the tentpole use case is
-// 20+ qubit trajectory sweeps, where the density-matrix engine is out of
-// reach and every saved statevector pass is a full 2^n-amplitude scan.
+// Benchmark of the trajectory pipeline: 20+ qubit trajectory sweeps, where
+// the density-matrix engine is out of reach and every statevector pass is a
+// full 2^n-amplitude scan.
 //
 //  1. coherent: a coherent-dominated noise config (decoherence and
-//     depolarizing off; coherent over-rotations and ZZ phases on).  Wide
-//     fusion collapses the per-round RZ-SX-RZ-SX-RZ runs and their phase
-//     tails into dense two-qubit ops, so the fused-wide sweep makes far
-//     fewer passes over the amplitudes.  This is the headline speedup row.
-//  2. full_noise: every channel on.  Stochastic channels are fusion
-//     barriers, so the tape stays draw-for-draw aligned and the speedup is
-//     honest but modest — recorded so the trend shows both regimes.
-//  3. threads[]: the fused-wide sweep re-run at 1/2/4 OpenMP threads; each
+//     depolarizing off; coherent over-rotations and ZZ phases on), timed as
+//     one exact-tape sweep.
+//  2. full_noise: every channel on — recorded so the trend shows both
+//     regimes.
+//  3. threads[]: the coherent sweep re-run at 1/2/4 OpenMP threads; each
 //     row's folded distribution must be bit-identical to the 1-thread row
 //     (group folding is index-ordered and the amplitude-parallel sums are
 //     chunk-invariant).
@@ -26,14 +23,8 @@
 //     trajectories the sequential test saved; the top-3 gate ranking must
 //     be unchanged and the savings positive.
 //
-// Both rows assert exact-vs-fused-wide agreement <= 1e-12 on the folded
-// distribution, so every bench run doubles as an equivalence check at a
-// width the unit tests never reach.
-//
 // Emits JSON like bench_sim_kernels; CI records the --smoke output as
 // BENCH_trajectory.json and tools/check_bench_trend.py validates the keys.
-// The JSON's "smoke" flag tells the gate whether the sweeps were timed at
-// full size: the coherent row's speedup >= 1.0 bound holds only then.
 //
 // Usage: bench_trajectory_pipeline [--qubits N] [--trajectories N]
 //                                  [--rounds N] [--reps N] [--smoke]
@@ -42,7 +33,6 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -115,21 +105,9 @@ double best_seconds(int reps, Fn&& fn) {
   return best;
 }
 
-double max_abs_diff(const std::vector<double>& a,
-                    const std::vector<double>& b) {
-  double worst = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    worst = std::max(worst, std::abs(a[i] - b[i]));
-  return worst;
-}
-
 struct SweepRow {
   double exact_ms = 0.0;
-  double fused_wide_ms = 0.0;
-  double speedup = 0.0;
-  double diff = 0.0;
   std::size_t tape_ops_exact = 0;
-  std::size_t tape_ops_fused_wide = 0;
 };
 
 std::vector<double> sweep(const cn::NoiseProgram& tape, int qubits,
@@ -145,38 +123,19 @@ SweepRow bench_config(const char* name, const cn::NoiseModel& model,
   SweepRow row;
   const int qubits = circuit.num_qubits();
   const cn::NoiseProgram exact = cn::lower(model, circuit);
-  const cn::NoiseProgram wide = cn::fused_wide(exact);
   row.tape_ops_exact = exact.size();
-  row.tape_ops_fused_wide = wide.size();
-
-  const std::vector<double> p_exact =
-      sweep(exact, qubits, trajectories, seed);
-  const std::vector<double> p_wide = sweep(wide, qubits, trajectories, seed);
-  row.diff = max_abs_diff(p_exact, p_wide);
-
   row.exact_ms = 1e3 * best_seconds(
                            reps, [&] { sweep(exact, qubits, trajectories, seed); });
-  row.fused_wide_ms = 1e3 * best_seconds(
-                                reps, [&] { sweep(wide, qubits, trajectories, seed); });
-  row.speedup =
-      row.fused_wide_ms > 0.0 ? row.exact_ms / row.fused_wide_ms : 0.0;
-
-  std::fprintf(stderr,
-               "note: %s — exact %.1f ms (%zu ops), fused-wide %.1f ms "
-               "(%zu ops), %.2fx, diff %.2e\n",
-               name, row.exact_ms, row.tape_ops_exact, row.fused_wide_ms,
-               row.tape_ops_fused_wide, row.speedup, row.diff);
+  std::fprintf(stderr, "note: %s — exact %.1f ms (%zu ops)\n", name,
+               row.exact_ms, row.tape_ops_exact);
   return row;
 }
 
 void append_row(std::string& json, const char* name, const SweepRow& row) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "  \"%s\": {\"exact_ms\": %.3f, \"fused_wide_ms\": %.3f, "
-                "\"speedup\": %.3f, \"tape_ops_exact\": %zu, "
-                "\"tape_ops_fused_wide\": %zu, \"max_abs_diff\": %.3e},\n",
-                name, row.exact_ms, row.fused_wide_ms, row.speedup,
-                row.tape_ops_exact, row.tape_ops_fused_wide, row.diff);
+                "  \"%s\": {\"exact_ms\": %.3f, \"tape_ops_exact\": %zu},\n",
+                name, row.exact_ms, row.tape_ops_exact);
   json += buf;
 }
 
@@ -357,13 +316,13 @@ AdaptiveRow bench_adaptive(int groups) {
 
 int main(int argc, char** argv) {
   charter::util::Cli cli(
-      "bench_trajectory_pipeline: exact vs fused-wide trajectory sweeps at "
+      "bench_trajectory_pipeline: exact-tape trajectory sweeps at "
       "statevector widths, plus thread-count determinism rows");
   cli.add_flag("qubits", std::int64_t{20}, "statevector width");
   cli.add_flag("trajectories", std::int64_t{8}, "unravellings per sweep");
   cli.add_flag("rounds", std::int64_t{6}, "workload rounds (depth scale)");
   cli.add_flag("reps", std::int64_t{3}, "timed repetitions (best-of)");
-  cli.add_flag("smoke", false, "tiny sizes for CI; asserts agreement bound");
+  cli.add_flag("smoke", false, "tiny sizes for CI");
   cli.add_flag("out", std::string("bench_results/trajectory_pipeline.json"),
                "JSON output path ('' = stdout only)");
   if (!cli.parse(argc, argv)) return 1;
@@ -390,8 +349,6 @@ int main(int argc, char** argv) {
   json += std::string("  \"simd_active\": \"") +
           simd::path_name(simd::active_path()) + "\",\n";
   json += "  \"simd_available\": \"" + simd::available_paths() + "\",\n";
-  json +=
-      "  \"fusion_width\": " + std::to_string(cn::fusion_width()) + ",\n";
   json += "  \"amp_parallel_min_qubits\": " +
           std::to_string(cs::amp_parallel_min_qubits()) + ",\n";
 
@@ -402,11 +359,10 @@ int main(int argc, char** argv) {
   append_row(json, "coherent", coh);
   append_row(json, "full_noise", fn);
 
-  // Thread-count determinism: the fused-wide coherent sweep folded at
-  // 1/2/4 OpenMP threads must be bit-identical (index-ordered group folds;
+  // Thread-count determinism: the coherent sweep folded at 1/2/4 OpenMP
+  // threads must be bit-identical (index-ordered group folds;
   // chunk-invariant amplitude sums in the parallel regime).
-  const cn::NoiseProgram wide_tape =
-      cn::fused_wide(cn::lower(coherent, circuit));
+  const cn::NoiseProgram tape = cn::lower(coherent, circuit);
   json += "  \"threads\": [\n";
   std::vector<double> one_thread;
   bool threads_ok = true;
@@ -423,10 +379,9 @@ int main(int argc, char** argv) {
     if (t > 1) break;
 #endif
     const double ms = 1e3 * best_seconds(1, [&] {
-                        sweep(wide_tape, qubits, trajectories, seed);
+                        sweep(tape, qubits, trajectories, seed);
                       });
-    const std::vector<double> p =
-        sweep(wide_tape, qubits, trajectories, seed);
+    const std::vector<double> p = sweep(tape, qubits, trajectories, seed);
     if (t == 1) one_thread = p;
     const bool identical =
         p.size() == one_thread.size() &&
@@ -476,10 +431,6 @@ int main(int argc, char** argv) {
   std::fputs(json.c_str(), stdout);
   charter::bench::write_output_file(cli.get_string("out"), json);
 
-  if (!(coh.diff <= 1e-12) || !(fn.diff <= 1e-12)) {
-    std::fprintf(stderr, "FAIL: fused-wide sweep diverged (> 1e-12)\n");
-    return 1;
-  }
   if (!threads_ok) {
     std::fprintf(stderr,
                  "FAIL: thread count changed the folded distribution\n");
@@ -497,10 +448,6 @@ int main(int argc, char** argv) {
   }
   if (!adaptive.topk_ok) {
     std::fprintf(stderr, "FAIL: adaptive budget changed the top-3 ranking\n");
-    return 1;
-  }
-  if (coh.tape_ops_fused_wide >= coh.tape_ops_exact) {
-    std::fprintf(stderr, "FAIL: wide fusion did not shrink the tape\n");
     return 1;
   }
   return 0;

@@ -8,7 +8,7 @@
 /// drives it and reports the outcome in CharterReport::exec_stats.  Every
 /// sweep follows one execution rule: the density-matrix engine up to
 /// sim::DensityMatrixEngine::kMaxQubits compacted qubits, trajectories
-/// above, at the tape level RunOptions::opt names.
+/// above, on the exact noise tape.
 
 #include "exec/adaptive.hpp"
 #include "exec/batch.hpp"

@@ -67,11 +67,6 @@ class ExecutionConfig {
   /// Results are bit-identical at every value; only wall-clock changes.
   ExecutionConfig& threads(int n) { threads_ = n; return *this; }
 
-  // -- tape optimization --------------------------------------------------
-  /// Fuse the lowered noise tape (faster, ~1e-12 agreement; the exact
-  /// tape is bit-reproducible).
-  ExecutionConfig& fused(bool on) { fused_ = on; return *this; }
-
   // -- variance reduction -------------------------------------------------
   /// Share one seed across the original and every reversed run
   /// (common-random-numbers variance reduction; also what makes
@@ -116,7 +111,6 @@ class ExecutionConfig {
 
   // -- getters ------------------------------------------------------------
   int threads() const { return threads_; }
-  bool fused() const { return fused_; }
   bool common_random_numbers() const { return crn_; }
   bool checkpointing() const { return checkpointing_; }
   bool caching() const { return caching_; }
@@ -129,7 +123,6 @@ class ExecutionConfig {
 
  private:
   int threads_ = 0;
-  bool fused_ = false;
   bool crn_ = false;
   bool checkpointing_ = true;
   bool caching_ = true;

@@ -41,10 +41,6 @@ std::vector<std::string> SessionConfig::validate() const {
   if (!exec_.cache_dir().empty() && exec_.cache_disk_bytes() == 0)
     flag("cache_disk_bytes must be > 0 when cache_dir is set; drop "
          "cache_dir instead of zeroing its budget");
-  if (exec_.fused() && engine_ == backend::EngineKind::kTrajectory)
-    flag("fused tape optimization never applies to the trajectory engine "
-         "(fusing would reorder its stochastic draws); drop fused(true) or "
-         "use the density-matrix engine");
   return errors;
 }
 
@@ -61,8 +57,6 @@ core::CharterOptions SessionConfig::resolved() const {
   o.run.trajectories = trajectories_;
   o.run.seed = seed_;
   o.run.drift = drift_;
-  o.run.opt =
-      exec_.fused() ? noise::OptLevel::kFused : noise::OptLevel::kExact;
   o.exec.checkpointing = exec_.checkpointing();
   o.exec.caching = exec_.caching();
   o.exec.checkpoint_memory_bytes = exec_.checkpoint_memory_bytes();

@@ -1,7 +1,5 @@
 #include "backend/backend.hpp"
 
-#include <algorithm>
-
 #include "math/simd_dispatch.hpp"
 #include "noise/executor.hpp"
 #include "util/parallel.hpp"
@@ -71,16 +69,7 @@ EngineKind resolve_engine(const RunOptions& options, int local_width) {
 
 RunOptions pin_engine(RunOptions options, int local_width) {
   options.engine = resolve_engine(options, local_width);
-  if (options.engine == EngineKind::kTrajectory &&
-      options.opt == noise::OptLevel::kFused)
-    options.opt = noise::OptLevel::kExact;
   return options;
-}
-
-int resolve_fusion_width(const RunOptions& options) {
-  if (options.fusion_width != 0)
-    return std::clamp(options.fusion_width, 2, 3);
-  return noise::fusion_width();
 }
 
 void FakeBackend::set_readout_confusion(int q, double p_meas1_given0,
@@ -108,7 +97,6 @@ std::string run_environment_summary() {
   out += ", threads=" + std::to_string(util::num_threads());
   out += ", dm_max_qubits=" +
          std::to_string(sim::DensityMatrixEngine::kMaxQubits);
-  out += ", fusion_width=" + std::to_string(noise::fusion_width());
   return out;
 }
 
@@ -230,21 +218,8 @@ std::vector<double> FakeBackend::run(const CompiledProgram& program,
 
   // Lower once; the tape is reusable across executions, so trajectory
   // averaging interprets the same tape per unravelling instead of
-  // re-deriving the schedule and clock walk each time.  Trajectory runs
-  // downgrade kFused to the exact tape: fused() merges/reorders stochastic
-  // channels, which would resample every unravelling (sampling-noise-sized
-  // changes, not the documented ~1e-12) for no kernel-pass savings at
-  // statevector cost.  kFusedWide is honored — it keeps stochastic channels
-  // as barriers in tape order, so the RNG draw sequence is preserved and
-  // only coherent segments consolidate into dense wide gates.
-  const noise::OptLevel opt =
-      engine == EngineKind::kDensityMatrix ||
-              options.opt == noise::OptLevel::kFusedWide
-          ? options.opt
-          : noise::OptLevel::kExact;
-  const noise::NoisyExecutor executor(lowered.model, opt,
-                                      resolve_fusion_width(options));
-  const noise::NoiseProgram tape = executor.lower(lowered.local);
+  // re-deriving the schedule and clock walk each time.
+  const noise::NoiseProgram tape = noise::lower(lowered.model, lowered.local);
   std::vector<double> probs;
   if (engine == EngineKind::kDensityMatrix) {
     sim::DensityMatrixEngine dm(width);

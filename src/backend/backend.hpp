@@ -20,7 +20,6 @@
 #include "circuit/circuit.hpp"
 #include "noise/calibration.hpp"
 #include "noise/noise_model.hpp"
-#include "noise/program.hpp"
 #include "transpile/topology.hpp"
 #include "transpile/transpiler.hpp"
 
@@ -49,27 +48,6 @@ struct RunOptions {
   /// Calibration drift magnitude for this run (0 disables; the paper-scale
   /// experiments use ~0.05 to model run-to-run device drift).
   double drift = 0.0;
-  /// Tape optimization level for the lowered NoiseProgram.  kExact (the
-  /// default) is bit-identical to the interpretive executor walk; kFused
-  /// merges gates, diagonal chains, and relaxation windows for speed, with
-  /// results agreeing to ~1e-12 on the exact density-matrix engine.
-  /// kFusedWide additionally consolidates coherent runs into dense
-  /// two-qubit (and, with noise::set_fusion_width(3), three-qubit)
-  /// unitaries while keeping every stochastic channel as a barrier in tape
-  /// order.  Trajectory runs downgrade kFused to the exact tape — fusing
-  /// would reorder the stochastic branch draws and resample every
-  /// unravelling — but honor kFusedWide, whose barrier discipline preserves
-  /// the RNG draw sequence.  Part of the exec::RunCache key: exact, fused,
-  /// and fused-wide runs of the same circuit never collide (fused-wide keys
-  /// also mix the resolved fusion width).
-  noise::OptLevel opt = noise::OptLevel::kExact;
-  /// Maximum wide-gate width for kFusedWide lowerings of *this run*.  0 (the
-  /// default) defers to the process-global noise::fusion_width() at lowering
-  /// time; 2 or 3 pins the width per run, so two runs in one batch can carry
-  /// different widths without racing on the global knob.  Ignored by kExact
-  /// and kFused.  Resolved via resolve_fusion_width(); part of the cache key
-  /// and of the exec layer's tape-sharing group keys for fused-wide runs.
-  int fusion_width = 0;
 };
 
 /// A transpiled program plus everything needed to interpret its output.
@@ -97,18 +75,10 @@ struct LoweredRun {
 EngineKind resolve_engine(const RunOptions& options, int local_width);
 
 /// \p options with the engine pinned to resolve_engine(options,
-/// local_width) and, on the trajectory engine, kFused downgraded to kExact
-/// (the tape FakeBackend::run executes there).  The run takes the same path
-/// either way; the analysis pipeline pins every job of a sweep so that its
-/// run-cache key names the path that produced the result.
+/// local_width).  The run takes the same path either way; the analysis
+/// pipeline pins every job of a sweep so that its run-cache key names the
+/// path that produced the result.
 RunOptions pin_engine(RunOptions options, int local_width);
-
-/// The wide-gate fusion width a kFusedWide lowering of \p options actually
-/// uses: the per-run override when set (clamped to the valid 2..3 range the
-/// same way noise::set_fusion_width clamps), else the process-global
-/// noise::fusion_width().  Shared by the backend, the exec layer's tape
-/// grouping, and the run-cache key so none of them can diverge.
-int resolve_fusion_width(const RunOptions& options);
 
 /// One-line description of the execution environment every RunOptions is
 /// interpreted under: the active SIMD kernel path and the paths available

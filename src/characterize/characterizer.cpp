@@ -44,8 +44,6 @@ void accumulate_stats(exec::BatchRunner::Stats& total,
   total.full_runs += s.full_runs;
   total.checkpoint_fallbacks += s.checkpoint_fallbacks;
   total.strategy_jobs.dm_exact += s.strategy_jobs.dm_exact;
-  total.strategy_jobs.dm_fused += s.strategy_jobs.dm_fused;
-  total.strategy_jobs.dm_fused_wide += s.strategy_jobs.dm_fused_wide;
   total.strategy_jobs.trajectory += s.strategy_jobs.trajectory;
   total.strategy_jobs.checkpoint_splice += s.strategy_jobs.checkpoint_splice;
   total.trajectories_budgeted += s.trajectories_budgeted;

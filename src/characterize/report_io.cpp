@@ -18,7 +18,9 @@ namespace {
 // Charter report format.
 // v2: the exec block drops the cost model's predicted_ns/actual_ns (the
 // strategy planner is gone; strategy_jobs is counted on every run).
-constexpr int kSchemaVersion = 2;
+// v3: strategy_jobs drops dm_fused/dm_fused_wide (every run executes the
+// exact tape).
+constexpr int kSchemaVersion = 3;
 
 void append_double(std::string& out, double v) {
   char buf[40];
@@ -211,10 +213,6 @@ std::string characterization_to_json(const CharacterizationReport& report) {
          std::to_string(exec_stats.checkpoint_fallbacks);
   out += ",\"strategy_jobs\":{";
   out += "\"dm_exact\":" + std::to_string(exec_stats.strategy_jobs.dm_exact);
-  out += ",\"dm_fused\":" +
-         std::to_string(exec_stats.strategy_jobs.dm_fused);
-  out += ",\"dm_fused_wide\":" +
-         std::to_string(exec_stats.strategy_jobs.dm_fused_wide);
   out += ",\"trajectory\":" +
          std::to_string(exec_stats.strategy_jobs.trajectory);
   out += ",\"checkpoint_splice\":" +
@@ -385,13 +383,6 @@ CharacterizationReport characterization_from_json(const std::string& json) {
   p.expect('{');
   require(p.key() == "dm_exact", "characterization report: missing dm_exact");
   out.exec_stats.strategy_jobs.dm_exact = p.size();
-  p.expect(',');
-  require(p.key() == "dm_fused", "characterization report: missing dm_fused");
-  out.exec_stats.strategy_jobs.dm_fused = p.size();
-  p.expect(',');
-  require(p.key() == "dm_fused_wide",
-          "characterization report: missing dm_fused_wide");
-  out.exec_stats.strategy_jobs.dm_fused_wide = p.size();
   p.expect(',');
   require(p.key() == "trajectory",
           "characterization report: missing trajectory");

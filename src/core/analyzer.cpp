@@ -129,8 +129,6 @@ void accumulate_stats(exec::BatchRunner::Stats& total,
   total.full_runs += s.full_runs;
   total.checkpoint_fallbacks += s.checkpoint_fallbacks;
   total.strategy_jobs.dm_exact += s.strategy_jobs.dm_exact;
-  total.strategy_jobs.dm_fused += s.strategy_jobs.dm_fused;
-  total.strategy_jobs.dm_fused_wide += s.strategy_jobs.dm_fused_wide;
   total.strategy_jobs.trajectory += s.strategy_jobs.trajectory;
   total.strategy_jobs.checkpoint_splice += s.strategy_jobs.checkpoint_splice;
   total.trajectories_budgeted += s.trajectories_budgeted;
@@ -209,7 +207,7 @@ CharterReport CharterAnalyzer::analyze(const CompiledProgram& program,
 
   // One execution rule for the whole family: the engine resolve_engine
   // picks for the program's width (density matrix up to kMaxQubits,
-  // trajectories above), at the caller's tape level.
+  // trajectories above).
   const backend::RunOptions family_run = backend::pin_engine(
       options_.run, static_cast<int>(backend::used_qubits(program).size()));
 

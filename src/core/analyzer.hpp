@@ -51,10 +51,8 @@ struct CharterOptions {
   bool common_random_numbers = false;
   /// Execution options for every run (seed is re-derived per circuit, and
   /// the engine is pinned once per sweep by backend::pin_engine: density
-  /// matrix up to kMaxQubits, trajectories above).  run.opt selects the
-  /// NoiseProgram tape level: kExact (default) is bit-reproducible; kFused
-  /// merges gates/diagonals/relaxation windows for speed with ~1e-12
-  /// agreement — gate rankings are unaffected in practice.
+  /// matrix up to kMaxQubits, trajectories above).  Every run executes the
+  /// exact NoiseProgram tape, so results are bit-reproducible.
   backend::RunOptions run;
   /// Execution strategy: prefix-state checkpointing, run caching, and the
   /// worker-pool width (see exec/batch.hpp; exec.threads is the knob the

@@ -20,7 +20,9 @@ namespace {
 // (trajectories_budgeted/executed, gates_settled_early).
 // v4: exec drops the cost model's predicted_ns/actual_ns (the strategy
 // planner is gone; strategy_jobs is counted on every run).
-constexpr int kSchemaVersion = 4;
+// v5: strategy_jobs drops dm_fused/dm_fused_wide (every run executes the
+// exact tape).
+constexpr int kSchemaVersion = 5;
 
 void append_double(std::string& out, double v) {
   char buf[40];
@@ -159,10 +161,6 @@ std::string report_to_json(const CharterReport& report,
          std::to_string(exec_stats.checkpoint_fallbacks);
   out += ",\"strategy_jobs\":{";
   out += "\"dm_exact\":" + std::to_string(exec_stats.strategy_jobs.dm_exact);
-  out += ",\"dm_fused\":" +
-         std::to_string(exec_stats.strategy_jobs.dm_fused);
-  out += ",\"dm_fused_wide\":" +
-         std::to_string(exec_stats.strategy_jobs.dm_fused_wide);
   out += ",\"trajectory\":" +
          std::to_string(exec_stats.strategy_jobs.trajectory);
   out += ",\"checkpoint_splice\":" +
@@ -271,12 +269,6 @@ GoldenReport report_from_json(const std::string& json) {
   p.expect('{');
   require(p.key() == "dm_exact", "golden report: missing dm_exact");
   out.exec.strategy_jobs.dm_exact = p.size();
-  p.expect(',');
-  require(p.key() == "dm_fused", "golden report: missing dm_fused");
-  out.exec.strategy_jobs.dm_fused = p.size();
-  p.expect(',');
-  require(p.key() == "dm_fused_wide", "golden report: missing dm_fused_wide");
-  out.exec.strategy_jobs.dm_fused_wide = p.size();
   p.expect(',');
   require(p.key() == "trajectory", "golden report: missing trajectory");
   out.exec.strategy_jobs.trajectory = p.size();

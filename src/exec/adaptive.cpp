@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "exec/batch.hpp"
-#include "noise/executor.hpp"
+#include "noise/program.hpp"
 #include "sim/trajectory.hpp"
 #include "stats/stats.hpp"
 #include "util/error.hpp"
@@ -72,20 +72,13 @@ AdaptiveResult run_adaptive_trajectory_sweep(
 
   std::vector<AdaptiveJobState> states(jobs.size());
 
-  // Lower every job's tape up front (one pool task per job), mirroring the
-  // batch runner's trajectory policy: kFusedWide is honored, kFused
-  // downgrades to the exact tape.
+  // Lower every job's tape up front (one pool task per job).
   pool->run(static_cast<std::int64_t>(jobs.size()),
             [&](std::int64_t k, int /*worker*/) {
               const AdaptiveJob& job = jobs[static_cast<std::size_t>(k)];
               AdaptiveJobState& st = states[static_cast<std::size_t>(k)];
               st.lowered = backend.lower(*job.program, job.run);
-              const noise::NoisyExecutor executor(
-                  st.lowered->model,
-                  job.run.opt == noise::OptLevel::kFusedWide
-                      ? noise::OptLevel::kFusedWide
-                      : noise::OptLevel::kExact);
-              st.tape = executor.lower(st.lowered->local);
+              st.tape = noise::lower(st.lowered->model, st.lowered->local);
               st.groups_total =
                   sim::num_trajectory_groups(job.run.trajectories);
               st.partial.resize(static_cast<std::size_t>(st.groups_total));

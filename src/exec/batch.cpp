@@ -43,28 +43,6 @@ class WorkerEngines {
   std::vector<std::unique_ptr<sim::DensityMatrixEngine>> engines_;
 };
 
-/// The tape-sharing key: sharers must agree on the optimization level AND,
-/// for fused-wide tapes, on the resolved fusion width — a width-2 and a
-/// width-3 run lower to different tapes, so letting them share would splice
-/// suffixes into a tape fused at the wrong width.  Exact/fused runs ignore
-/// the width knob and must not fork on it.
-std::pair<noise::OptLevel, int> tape_key(const backend::RunOptions& run) {
-  return {run.opt, run.opt == noise::OptLevel::kFusedWide
-                       ? backend::resolve_fusion_width(run)
-                       : 0};
-}
-
-/// The full-DM-walk counter for a tape level.
-std::size_t& dm_jobs(BatchRunner::Stats::StrategyCount& counts,
-                     noise::OptLevel opt) {
-  switch (opt) {
-    case noise::OptLevel::kFused: return counts.dm_fused;
-    case noise::OptLevel::kFusedWide: return counts.dm_fused_wide;
-    case noise::OptLevel::kExact: break;
-  }
-  return counts.dm_exact;
-}
-
 }  // namespace
 
 std::vector<std::vector<double>> BatchRunner::run(
@@ -112,9 +90,7 @@ std::vector<std::vector<double>> BatchRunner::run(
   // Partition the remaining jobs into three routes.
   //
   //  - Density-matrix checkpoint sharers: deterministic given the model, so
-  //    drift == 0 and a verified prefix suffice for exactness.  All sharers
-  //    must agree on the tape optimization level (the plan's executor fuses
-  //    every resumed suffix uniformly).
+  //    drift == 0 and a verified prefix suffice for exactness.
   //  - Trajectory checkpoint sharers: unravellings re-randomize per run
   //    seed, so sharing additionally requires every job to carry the *same*
   //    (seed, trajectory count) as the base sweep — then each trajectory's
@@ -134,7 +110,6 @@ std::vector<std::vector<double>> BatchRunner::run(
   std::vector<int> base_kept;
   if (base_usable) base_kept = backend::used_qubits(*base);
   const int base_width = static_cast<int>(base_kept.size());
-  std::optional<std::pair<noise::OptLevel, int>> shared_tape;
   std::vector<std::size_t> traj_candidates;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (done[i]) continue;
@@ -147,12 +122,9 @@ std::vector<std::vector<double>> BatchRunner::run(
     const EngineKind engine =
         prefix_ok ? backend::resolve_engine(job.run, base_width)
                   : EngineKind::kAuto;
-    bool eligible = false;
     if (prefix_ok && engine == EngineKind::kDensityMatrix &&
         base_width <= sim::DensityMatrixEngine::kMaxQubits) {
-      if (!shared_tape.has_value()) shared_tape = tape_key(job.run);
-      eligible = tape_key(job.run) == *shared_tape;
-      (eligible ? dm_idx : plain_idx).push_back(i);
+      dm_idx.push_back(i);
     } else if (prefix_ok && engine == EngineKind::kTrajectory) {
       traj_candidates.push_back(i);
     } else {
@@ -161,28 +133,23 @@ std::vector<std::vector<double>> BatchRunner::run(
   }
 
   // Trajectory sharing only pays when at least two candidates agree on
-  // (seed, trajectory count, tape key) — the base sweep costs a full run's
-  // worth of simulation, so a lone job is cheaper cold, and mixing exact
-  // with fused-wide sharers (or fused-wide sharers at different resolved
-  // widths) would hand part of the group a tape lowered the wrong way.
-  // Pick the plurality config; candidates outside it run plain.
+  // (seed, trajectory count) — the base sweep costs a full run's worth of
+  // simulation, so a lone job is cheaper cold.  Pick the plurality config;
+  // candidates outside it run plain.
   bool have_traj_group = false;
   std::uint64_t group_seed = 0;
   int group_trajectories = 0;
-  std::pair<noise::OptLevel, int> group_tape{noise::OptLevel::kExact, 0};
   if (traj_candidates.size() >= 2) {
     std::size_t best_count = 0;
     for (const std::size_t i : traj_candidates) {
       std::size_t count = 0;
       for (const std::size_t j : traj_candidates)
         count += (jobs[j].run.seed == jobs[i].run.seed &&
-                  jobs[j].run.trajectories == jobs[i].run.trajectories &&
-                  tape_key(jobs[j].run) == tape_key(jobs[i].run));
+                  jobs[j].run.trajectories == jobs[i].run.trajectories);
       if (count > best_count) {
         best_count = count;
         group_seed = jobs[i].run.seed;
         group_trajectories = jobs[i].run.trajectories;
-        group_tape = tape_key(jobs[i].run);
       }
     }
     have_traj_group = best_count >= 2;
@@ -190,8 +157,7 @@ std::vector<std::vector<double>> BatchRunner::run(
   for (const std::size_t i : traj_candidates) {
     const bool in_group = have_traj_group &&
                           jobs[i].run.seed == group_seed &&
-                          jobs[i].run.trajectories == group_trajectories &&
-                          tape_key(jobs[i].run) == group_tape;
+                          jobs[i].run.trajectories == group_trajectories;
     (in_group ? traj_idx : plain_idx).push_back(i);
   }
 
@@ -225,9 +191,7 @@ std::vector<std::vector<double>> BatchRunner::run(
     backend::RunOptions lower_options;
     lower_options.drift = 0.0;
     const backend::LoweredRun lowered = backend_.lower(*base, lower_options);
-    const auto [opt, fusion_width] =
-        shared_tape.value_or(std::pair{noise::OptLevel::kExact, 0});
-    const noise::NoisyExecutor executor(lowered.model, opt, fusion_width);
+    const noise::NoisyExecutor executor(lowered.model);
 
     std::vector<std::size_t> prefix_lens;
     for (const std::size_t i : dm_idx)
@@ -257,27 +221,16 @@ std::vector<std::vector<double>> BatchRunner::run(
                  // them, not just between shards.
                  if (cancelled()) return;
                  const AnalysisJob& job = jobs[i];
-                 std::vector<double> probs;
-                 if (job.program == base &&
-                     opt == noise::OptLevel::kExact) {
-                   // The exact sweep already ran the base to completion.
-                   probs = plan.base_probabilities();
-                 } else {
-                   sim::DensityMatrixEngine& engine =
-                       engines.get(worker, lowered.local.num_qubits());
-                   if (job.program == base) {
-                     // Fused mode: run the base as one full fused execution
-                     // so its distribution matches a standalone fused run
-                     // exactly (the checkpoint sweep is exact by design).
-                     executor.run(lowered.local, engine);
-                     probs = engine.probabilities();
-                   } else {
-                     probs = plan.run_shared(
-                         backend::compact_to(job.program->physical,
-                                             lowered.kept),
-                         job.shared_prefix, engine);
-                   }
-                 }
+                 // The sweep already ran the base to completion.
+                 std::vector<double> probs =
+                     job.program == base
+                         ? plan.base_probabilities()
+                         : plan.run_shared(
+                               backend::compact_to(job.program->physical,
+                                                   lowered.kept),
+                               job.shared_prefix,
+                               engines.get(worker,
+                                           lowered.local.num_qubits()));
                  results[i] = backend_.finalize(std::move(probs), lowered,
                                                 *job.program, job.run);
                  notify_done(i);
@@ -288,28 +241,19 @@ std::vector<std::vector<double>> BatchRunner::run(
     stats_.checkpointed = dm_idx.size() - plan.stats().fallbacks;
 
     // Non-base jobs resume from shared prefix snapshots (splice); base
-    // jobs are full DM walks at the shared tape level.
+    // jobs are full DM walks.
     std::size_t splice_jobs = 0;
     for (const std::size_t i : dm_idx)
       splice_jobs += (jobs[i].program != base);
     stats_.strategy_jobs.checkpoint_splice += splice_jobs;
-    dm_jobs(stats_.strategy_jobs, opt) += dm_idx.size() - splice_jobs;
+    stats_.strategy_jobs.dm_exact += dm_idx.size() - splice_jobs;
   }
 
   if (!traj_idx.empty()) {
     backend::RunOptions lower_options;
     lower_options.drift = 0.0;
     const backend::LoweredRun lowered = backend_.lower(*base, lower_options);
-    // Trajectory tapes downgrade kFused to exact (fused() reorders
-    // stochastic draws); kFusedWide keeps channels as in-order barriers, so
-    // the group may share a fused-wide lowering — at the group's agreed
-    // fusion width.
-    const noise::NoisyExecutor executor(
-        lowered.model,
-        group_tape.first == noise::OptLevel::kFusedWide
-            ? noise::OptLevel::kFusedWide
-            : noise::OptLevel::kExact,
-        group_tape.second);
+    const noise::NoisyExecutor executor(lowered.model);
     std::vector<std::size_t> prefix_lens;
     for (const std::size_t i : traj_idx)
       if (jobs[i].program != base) prefix_lens.push_back(jobs[i].shared_prefix);
@@ -355,7 +299,7 @@ std::vector<std::vector<double>> BatchRunner::run(
       const bool trajectory = backend::resolve_engine(jobs[i].run, width) ==
                               EngineKind::kTrajectory;
       if (trajectory) ++stats_.strategy_jobs.trajectory;
-      else ++dm_jobs(stats_.strategy_jobs, jobs[i].run.opt);
+      else ++stats_.strategy_jobs.dm_exact;
       (lowering && trajectory ? traj_plain : other_plain).push_back(i);
     }
 
@@ -382,15 +326,7 @@ std::vector<std::vector<double>> BatchRunner::run(
                      traj_plain[static_cast<std::size_t>(k)];
                  TrajRun& r = runs[static_cast<std::size_t>(k)];
                  r.lowered = backend_.lower(*jobs[i].program, jobs[i].run);
-                 // Mirror FakeBackend::run's trajectory policy: kFusedWide
-                 // is honored, kFused downgrades to the exact tape.
-                 const noise::NoisyExecutor executor(
-                     r.lowered->model,
-                     jobs[i].run.opt == noise::OptLevel::kFusedWide
-                         ? noise::OptLevel::kFusedWide
-                         : noise::OptLevel::kExact,
-                     backend::resolve_fusion_width(jobs[i].run));
-                 r.tape = executor.lower(r.lowered->local);
+                 r.tape = noise::lower(r.lowered->model, r.lowered->local);
                  r.fold.emplace(jobs[i].run.trajectories);
                }, cancel);
       throw_if_cancelled();

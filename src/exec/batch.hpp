@@ -31,16 +31,11 @@
 /// (trajectory_plan.hpp) — exact only when every sharer also agrees on
 /// (seed, trajectory count) with the base sweep, which the analyzer opts
 /// into via common random numbers.  Jobs that cannot share exactly (drifted
-/// calibration, differing qubit footprints, mismatched trajectory seeds, or
-/// a tape optimization level differing from the batch's sharers) fall back
-/// to independent full runs on the same pool — trajectory full runs fan
-/// every unravelling out as its own task and fold through
-/// sim::TrajectoryFold; every exact-mode result is bit-identical to a
-/// standalone FakeBackend::run with the same options.  Fused-mode
-/// (RunOptions::opt == OptLevel::kFused) checkpointed results agree with
-/// standalone fused runs to the fusion tolerance (~1e-12): resumed suffixes
-/// fuse from the snapshot position while a standalone run fuses the whole
-/// tape.
+/// calibration, differing qubit footprints, or mismatched trajectory seeds)
+/// fall back to independent full runs on the same pool — trajectory full
+/// runs fan every unravelling out as its own task and fold through
+/// sim::TrajectoryFold; every result is bit-identical to a standalone
+/// FakeBackend::run with the same options.
 
 #include <cstddef>
 #include <functional>
@@ -141,10 +136,12 @@ class BatchRunner {
     std::size_t checkpoint_fallbacks = 0;
     /// How the executed (non-cache-hit) jobs ran, by path, counted on
     /// every run.  checkpoint_splice counts DM jobs resumed from a shared
-    /// prefix snapshot; the dm_* counters cover full DM walks at each tape
-    /// level; trajectory counts jobs on the trajectory engine.
+    /// prefix snapshot; dm_exact counts full DM walks; trajectory counts
+    /// jobs on the trajectory engine.
     struct StrategyCount {
       std::size_t dm_exact = 0;
+      /// Always zero: every run executes the exact tape.  Kept only
+      /// because the repository benchmark (perfbench) still reads them.
       std::size_t dm_fused = 0;
       std::size_t dm_fused_wide = 0;
       std::size_t trajectory = 0;

@@ -85,16 +85,6 @@ Fingerprint fingerprint(const backend::RunOptions& options) {
   b.mix(static_cast<std::uint64_t>(options.trajectories));
   b.mix(options.seed);
   b.mix_double(options.drift);
-  // The tape optimization level changes results (within the fusion
-  // tolerance), so exact and fused runs must never share a cache entry.
-  b.mix(static_cast<std::uint64_t>(options.opt));
-  // The resolved fusion width changes which wide gates a fused-wide
-  // lowering emits (and therefore the rounding of the result), so width-2
-  // and width-3 runs get distinct keys — whether the width comes from the
-  // run's own fusion_width override or the process-global knob.
-  // Exact/fused runs ignore the knob and must not fork on it.
-  if (options.opt == noise::OptLevel::kFusedWide)
-    b.mix(static_cast<std::uint64_t>(backend::resolve_fusion_width(options)));
   return b.result();
 }
 
@@ -137,7 +127,7 @@ Fingerprint run_key(const backend::CompiledProgram& program,
   const Fingerprint p = fingerprint(program);
   const Fingerprint o = fingerprint(options);
   // The NoiseProgram a run executes is a pure function of (program circuit,
-  // device model, optimization level), all covered above; mixing the tape
+  // device model), both covered above; mixing the tape
   // *schema* fingerprint on top ties every key to the lowering pipeline's
   // semantics, so entries cached before a tape format change can never be
   // served after it.

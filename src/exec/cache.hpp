@@ -11,15 +11,10 @@
 /// of the simulator.  Entries are keyed on a 128-bit structural fingerprint
 /// covering the compiled circuit, the device (its topology name *and* full
 /// calibration data, so two devices that merely share a name never
-/// collide), the run options — including the tape optimization level, so
-/// exact and fused runs of the same circuit never collide — and the
-/// NoiseProgram schema fingerprint, which invalidates every entry if the
-/// lowering pipeline's semantics change.
-///
-/// Fused-mode caveat: with OptLevel::kFused, a checkpointed run and a
-/// standalone run of the same job agree to the fusion tolerance (~1e-12)
-/// rather than bit-for-bit, so a fused cache entry is canonical only to
-/// that tolerance.  Exact-mode entries remain bit-reproducible.
+/// collide), the run options, and the NoiseProgram schema fingerprint,
+/// which invalidates every entry if the lowering pipeline's semantics
+/// change.  Every entry is bit-reproducible: a checkpointed run and a
+/// standalone run of the same job give identical results.
 ///
 /// Two tiers:
 ///

@@ -106,21 +106,13 @@ std::vector<double> CheckpointPlan::run_shared(
     return engine.probabilities();
   }
 
-  // Resume at the tape position of the snapshot; in fused mode, optimize
-  // everything past it (the verbatim region before the resume point is
-  // never touched by fusion, so the snapshot stays a valid entry state).
+  // Resume at the tape position of the snapshot.
   const std::size_t resume_pos = spliced->op_end(snapshot->prefix_len - 1);
-  noise::NoiseProgram tape = std::move(*spliced);
-  if (executor_.level() == noise::OptLevel::kFused)
-    tape = noise::fused(tape, resume_pos);
-  else if (executor_.level() == noise::OptLevel::kFusedWide)
-    tape = noise::fused_wide(tape, resume_pos);
-
   replayed_ops_.fetch_add(prefix_len - snapshot->prefix_len,
                           std::memory_order_relaxed);
   resumed_.fetch_add(1, std::memory_order_relaxed);
   engine.load_state(snapshot->rho);
-  tape.run(engine, resume_pos, tape.size());
+  spliced->run(engine, resume_pos, spliced->size());
   return engine.probabilities();
 }
 

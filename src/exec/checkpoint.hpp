@@ -31,13 +31,6 @@
 /// BatchRunner routes those to plain full runs; trajectory jobs share
 /// through TrajectoryCheckpointPlan (trajectory_plan.hpp) instead.
 ///
-/// Fused mode.  When the executor carries OptLevel::kFused, the *suffix* of
-/// each resumed run (everything past its snapshot) is fused before
-/// interpretation; the base sweep and all snapshots stay exact, so every
-/// resume point remains bit-reproducible.  Fused results agree with exact
-/// to the fusion tolerance (~1e-12) rather than bit-for-bit — the exec
-/// RunCache keys therefore carry the optimization level.
-///
 /// Memory.  Each snapshot costs 16 bytes * 4^n for an n-qubit local circuit.
 /// When the requested snapshots exceed the budget, an evenly spaced subset
 /// is kept; resumption replays the gap [snapshot, fork point) from the

@@ -23,13 +23,6 @@ TrajectoryCheckpointPlan::TrajectoryCheckpointPlan(
       base_stream_(executor.make_stream(base_)),
       num_trajectories_(num_trajectories),
       seed_(run_seed ^ backend::kTrajectorySeedSalt) {
-  // kFused reorders the stochastic draws, which would desynchronize the
-  // snapshot RNG streams; kFusedWide keeps channels as in-order barriers,
-  // so shared suffixes may run fused-wide (run_shared re-optimizes the
-  // spliced tape past the resume point).  The base sweep itself always
-  // walks the exact stream — snapshots must land on exact-tape positions.
-  require(executor.level() != noise::OptLevel::kFused,
-          "trajectory tapes are never gate-fused (kFused)");
   require(num_trajectories_ >= 1, "need at least one trajectory");
   std::sort(prefix_lens.begin(), prefix_lens.end());
   prefix_lens.erase(std::unique(prefix_lens.begin(), prefix_lens.end()),
@@ -116,19 +109,11 @@ std::vector<double> TrajectoryCheckpointPlan::run_shared(
   // consuming the same random draws a cold run would after the identical
   // prefix.
   const std::size_t resume_pos = spliced->op_end(snapshot->prefix_len - 1);
-  // Fused-wide groups re-optimize only past the resume point: the prefix
-  // stays verbatim (the snapshot position must keep meaning the same
-  // draws), while the gap + insertion + suffix consolidate into wide gates
-  // exactly as a cold fused-wide lowering of that region would.
-  const noise::NoiseProgram tape =
-      executor_.level() == noise::OptLevel::kFusedWide
-          ? noise::fused_wide(*spliced, resume_pos)
-          : std::move(*spliced);
   sim::TrajectoryFold fold(num_trajectories_);
   for (int t = 0; t < num_trajectories_; ++t) {
     const std::unique_ptr<sim::NoisyEngine> engine =
         snapshot->engines[static_cast<std::size_t>(t)]->clone();
-    tape.run(*engine, resume_pos, tape.size());
+    spliced->run(*engine, resume_pos, spliced->size());
     fold.add(t, engine->probabilities());
   }
   replayed_ops_.fetch_add(prefix_len - snapshot->prefix_len,

@@ -48,8 +48,7 @@ namespace charter::exec {
 /// across worker threads.
 class TrajectoryCheckpointPlan {
  public:
-  /// Sweeps \p base once per unravelling under \p executor (which must be
-  /// OptLevel::kExact — trajectory tapes are never fused), cloning each
+  /// Sweeps \p base once per unravelling under \p executor, cloning each
   /// engine after every prefix length in \p prefix_lens (deduped; capped by
   /// \p memory_budget_bytes).  \p run_seed is the jobs' shared
   /// RunOptions::seed; the plan derives the same per-trajectory engine

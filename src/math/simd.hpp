@@ -84,7 +84,6 @@ struct KernelTable {
   void (*apply_diag_2q)(cplx* a, std::uint64_t dim, int qa, int qb,
                         const std::array<cplx, 4>& d);
   /// Dense 4x4 unitary on (qa, qb); index convention bit(qa) + 2*bit(qb).
-  /// Hot on fused-wide tapes (noise::fused_wide emits kUnitary2q ops).
   void (*apply_2q)(cplx* a, std::uint64_t dim, int qa, int qb, const Mat4& u);
 
   // ---- fused density-matrix pair kernels --------------------------------

@@ -148,7 +148,7 @@ void k_apply_2q(cplx* a, std::uint64_t dim, int qa, int qb, const Mat4& u) {
   if (lo == 1) {
     // A bit-0 operand splits every 4-amplitude group across register lanes;
     // the dense 4x4 matvec would spend more shuffles than math.  Scalar is
-    // exact and this configuration is 1/n of fused-tape gates.
+    // exact and this configuration is 1/n of dense two-qubit gates.
     table_scalar()->apply_2q(a, dim, qa, qb, u);
     return;
   }

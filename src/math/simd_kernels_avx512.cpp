@@ -8,7 +8,7 @@
 // >= 4 process four pairs (one 512-bit load per stream) per iteration, while
 // stride 1 and 2 keep whole pair groups inside a register and resolve them
 // with _mm512_shuffle_f64x2 128-bit-lane permutes.  The statevector-side
-// kernels — the ones hot in 20+ qubit fused-tape trajectory sweeps — and
+// kernels — the ones hot in 20+ qubit trajectory sweeps — and
 // diag_run, which carries every diagonal density-matrix op (ZZ flushes, CX
 // ZZ, crosstalk, RZ), are vectorized here.  The remaining density-matrix
 // pair/channel kernels forward to the AVX2 implementations, falling back
@@ -226,8 +226,7 @@ void k_apply_2q(cplx* a, std::uint64_t dim, int qa, int qb, const Mat4& u) {
     return;
   }
   // lo >= 4: group bases come in runs of four; four groups per iteration,
-  // one 512-bit load per input stream — the hot kernel of fused-wide
-  // trajectory sweeps.
+  // one 512-bit load per input stream.
   std::array<CVec8d, 16> um;
   for (int r = 0; r < 4; ++r)
     for (int k = 0; k < 4; ++k)

@@ -1,14 +1,10 @@
 #include "noise/executor.hpp"
 
-#include <utility>
-
 #include "util/error.hpp"
 
 namespace charter::noise {
 
-NoisyExecutor::NoisyExecutor(const NoiseModel& model, OptLevel level,
-                             int fusion_width)
-    : model_(model), level_(level), fusion_width_(fusion_width) {}
+NoisyExecutor::NoisyExecutor(const NoiseModel& model) : model_(model) {}
 
 circ::Schedule NoisyExecutor::make_schedule(const circ::Circuit& c) const {
   return circ::schedule_asap(
@@ -17,13 +13,7 @@ circ::Schedule NoisyExecutor::make_schedule(const circ::Circuit& c) const {
 }
 
 NoiseProgram NoisyExecutor::lower(const circ::Circuit& c) const {
-  NoiseProgram program = noise::lower(model_, c);
-  if (level_ == OptLevel::kFused) {
-    program = fused(std::move(program));
-  } else if (level_ == OptLevel::kFusedWide) {
-    program = fused_wide(program, /*from_pos=*/0, fusion_width_);
-  }
-  return program;
+  return noise::lower(model_, c);
 }
 
 void NoisyExecutor::run(const circ::Circuit& c,

@@ -6,10 +6,9 @@
 /// Historically this class *walked* the ASAP schedule per execution,
 /// re-deriving lazy decoherence windows and ZZ flushes and making one
 /// virtual engine call per op.  That walk now happens once, at lowering
-/// time (noise/program.hpp): run() lowers the circuit to a tape — fusing it
-/// first when the executor was constructed with OptLevel::kFused — and the
-/// inner loop is the tape interpreter, which on the density-matrix engine
-/// dispatches devirtualized single-pass pair kernels.
+/// time (noise/program.hpp): run() lowers the circuit to the exact tape and
+/// the inner loop is the tape interpreter, which on the density-matrix
+/// engine dispatches devirtualized single-pass pair kernels.
 ///
 /// The physical model is unchanged (see program.hpp's lowering rules):
 ///  1. state-preparation bit flips at t = 0;
@@ -47,17 +46,10 @@ namespace charter::noise {
 /// circuit sharing the same op prefix resumed from that tape position — the
 /// mechanism behind exec/checkpoint.hpp's prefix-state checkpointing, which
 /// splices derived tapes from the stream's base tape via lower_spliced().
-/// run(c, e) with OptLevel::kExact is exactly
-/// { s = make_stream(c); start(c,s,e); step...; finish }.
+/// run(c, e) is exactly { s = make_stream(c); start(c,s,e); step...; finish }.
 class NoisyExecutor {
  public:
-  /// \p fusion_width caps wide-gate fusion for kFusedWide lowerings: 2 or 3
-  /// pins the width for this executor, 0 (default) defers to the
-  /// process-global noise::fusion_width() at lowering time.  Ignored by the
-  /// other levels.
-  explicit NoisyExecutor(const NoiseModel& model,
-                         OptLevel level = OptLevel::kExact,
-                         int fusion_width = 0);
+  explicit NoisyExecutor(const NoiseModel& model);
 
   /// Everything one in-flight execution carries: the exact tape (schedule,
   /// crosstalk, and clock bookkeeping all resolved into it) and the next
@@ -72,14 +64,13 @@ class NoisyExecutor {
   /// contains a non-basis gate or a CX on an uncoupled pair.
   void run(const circ::Circuit& c, sim::NoisyEngine& engine) const;
 
-  /// Lowers \p c under this executor's model and optimization level.  The
+  /// Lowers \p c under this executor's model into the exact tape.  The
   /// returned tape can be executed many times (e.g. once per trajectory)
   /// without re-deriving the schedule or clocks.
   NoiseProgram lower(const circ::Circuit& c) const;
 
-  /// Validates \p c and lowers its exact tape with resume records (streams
-  /// are always exact so snapshots stay bit-reproducible).  Does not touch
-  /// any engine.
+  /// Validates \p c and lowers its exact tape with resume records.  Does not
+  /// touch any engine.
   Stream make_stream(const circ::Circuit& c) const;
 
   /// Starts an execution: resets \p engine and applies the t = 0
@@ -102,13 +93,9 @@ class NoisyExecutor {
   circ::Schedule make_schedule(const circ::Circuit& c) const;
 
   const NoiseModel& model() const { return model_; }
-  OptLevel level() const { return level_; }
-  int fusion_width() const { return fusion_width_; }
 
  private:
   const NoiseModel& model_;
-  OptLevel level_;
-  int fusion_width_;
 };
 
 }  // namespace charter::noise

@@ -1,11 +1,7 @@
 #include "noise/program.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "math/simd.hpp"
@@ -116,18 +112,6 @@ void NoiseProgram::append_unitary_2q(const math::Mat4& u, int qa, int qb) {
   ops_.push_back(op);
 }
 
-void NoiseProgram::append_unitary_3q(const std::array<cplx, 64>& u, int qa,
-                                     int qb, int qc) {
-  TapeOp op;
-  op.kind = TapeOpKind::kUnitary3q;
-  op.q0 = static_cast<std::int16_t>(qa);
-  op.q1 = static_cast<std::int16_t>(qb);
-  op.q2 = static_cast<std::int16_t>(qc);
-  op.payload = static_cast<std::uint32_t>(mats8_.size());
-  mats8_.push_back(u);
-  ops_.push_back(op);
-}
-
 // ---------------------------------------------------------------------------
 // Interpreters
 // ---------------------------------------------------------------------------
@@ -174,9 +158,6 @@ void run_impl(const NoiseProgram& p, Engine& engine, std::size_t begin,
         break;
       case TapeOpKind::kUnitary2q:
         engine.apply_unitary_2q(p.mat4(op.payload), op.q0, op.q1);
-        break;
-      case TapeOpKind::kUnitary3q:
-        engine.apply_unitary_3q(p.mat8(op.payload), op.q0, op.q1, op.q2);
         break;
     }
   }
@@ -277,15 +258,13 @@ struct Hash128 {
 std::array<std::uint64_t, 2> NoiseProgram::fingerprint() const {
   Hash128 h;
   h.mix(static_cast<std::uint64_t>(num_qubits_));
-  h.mix(static_cast<std::uint64_t>(level_));
   h.mix(ops_.size());
   for (const TapeOp& op : ops_) {
     h.mix((static_cast<std::uint64_t>(op.kind) << 48) |
           (static_cast<std::uint64_t>(static_cast<std::uint16_t>(op.q0))
            << 32) |
           (static_cast<std::uint64_t>(static_cast<std::uint16_t>(op.q1))
-           << 16) |
-          static_cast<std::uint64_t>(static_cast<std::uint16_t>(op.q2)));
+           << 16));
     h.mix_double(op.a);
     h.mix_double(op.b);
     switch (op.kind) {
@@ -306,9 +285,6 @@ std::array<std::uint64_t, 2> NoiseProgram::fingerprint() const {
       case TapeOpKind::kUnitary2q:
         for (const cplx& v : mats4_[op.payload].m) h.mix_cplx(v);
         break;
-      case TapeOpKind::kUnitary3q:
-        for (const cplx& v : mats8_[op.payload]) h.mix_cplx(v);
-        break;
       default:
         break;
     }
@@ -319,9 +295,11 @@ std::array<std::uint64_t, 2> NoiseProgram::fingerprint() const {
 std::array<std::uint64_t, 2> tape_schema_fingerprint() {
   // Version tag of the lowering pipeline semantics; bump when the tape op
   // set, emission rules, or interpreter behavior change incompatibly.
-  // v2: dense kUnitary2q/kUnitary3q ops (wide-gate fusion), q2 operand in
-  // the per-op fingerprint word.
-  constexpr std::uint64_t kTapeSchemaVersion = 2;
+  // v2: dense two- and three-qubit unitary ops (wide-gate fusion), a third
+  // operand in the per-op fingerprint word.  v3: one exact tape level — the
+  // level word and the third operand leave tape fingerprints, and the dense
+  // three-qubit op is gone.
+  constexpr std::uint64_t kTapeSchemaVersion = 3;
   Hash128 h;
   h.mix(0x7a9e5cafe7001ULL);
   h.mix(kTapeSchemaVersion);
@@ -334,8 +312,8 @@ bool NoiseProgram::region_equal(const NoiseProgram& other, std::size_t begin,
   for (std::size_t i = begin; i < end; ++i) {
     const TapeOp& a = ops_[i];
     const TapeOp& b = other.ops_[i];
-    if (a.kind != b.kind || a.q0 != b.q0 || a.q1 != b.q1 || a.q2 != b.q2 ||
-        a.a != b.a || a.b != b.b)
+    if (a.kind != b.kind || a.q0 != b.q0 || a.q1 != b.q1 || a.a != b.a ||
+        a.b != b.b)
       return false;
     switch (a.kind) {
       case TapeOpKind::kUnitary1q:
@@ -356,9 +334,6 @@ bool NoiseProgram::region_equal(const NoiseProgram& other, std::size_t begin,
       }
       case TapeOpKind::kUnitary2q:
         if (mats4_[a.payload].m != other.mats4_[b.payload].m) return false;
-        break;
-      case TapeOpKind::kUnitary3q:
-        if (mats8_[a.payload] != other.mats8_[b.payload]) return false;
         break;
       default:
         break;
@@ -489,7 +464,7 @@ class Lowerer {
     // leading slice of each array; copying past it would duplicate the
     // base's entire suffix payload per spliced circuit (O(G^2) across an
     // analysis).
-    std::size_t mats = 0, diags = 0, kraus = 0, mats4 = 0, mats8 = 0;
+    std::size_t mats = 0, diags = 0, kraus = 0, mats4 = 0;
     for (std::size_t i = 0; i < prefix; ++i) {
       const TapeOp& op = base.ops_[i];
       switch (op.kind) {
@@ -509,9 +484,6 @@ class Lowerer {
         case TapeOpKind::kUnitary2q:
           mats4 = std::max<std::size_t>(mats4, op.payload + 1);
           break;
-        case TapeOpKind::kUnitary3q:
-          mats8 = std::max<std::size_t>(mats8, op.payload + 1);
-          break;
         default:
           break;
       }
@@ -526,8 +498,6 @@ class Lowerer {
         base.kraus_sets_.begin() + static_cast<std::ptrdiff_t>(kraus));
     out_.mats4_.assign(base.mats4_.begin(),
                        base.mats4_.begin() + static_cast<std::ptrdiff_t>(mats4));
-    out_.mats8_.assign(base.mats8_.begin(),
-                       base.mats8_.begin() + static_cast<std::ptrdiff_t>(mats8));
     out_.prologue_end_ = base.prologue_end_;
     out_.op_end_.assign(base.op_end_.begin(),
                         base.op_end_.begin() +
@@ -695,322 +665,19 @@ NoiseProgram lower(const NoiseModel& model, const circ::Circuit& c,
 }
 
 // ---------------------------------------------------------------------------
-// Optimizer
+// Two-qubit gate fusion
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// 2x2 matrix of a coherent one-qubit tape op (unitary or diagonal).
-Mat2 coherent_mat(const NoiseProgram& p, const TapeOp& op,
-                  const std::vector<Mat2>& mats,
-                  const std::vector<std::array<cplx, 4>>& diags) {
-  (void)p;
-  if (op.kind == TapeOpKind::kUnitary1q) return mats[op.payload];
-  Mat2 m;
-  m(0, 0) = diags[op.payload][0];
-  m(1, 1) = diags[op.payload][1];
-  return m;
-}
-
-}  // namespace
-
-NoiseProgram fused(const NoiseProgram& p, std::size_t from_pos) {
-  require(from_pos <= p.size(), "fusion start past the end of the tape");
-  NoiseProgram out(p.num_qubits());
-  out.level_ = OptLevel::kFused;
-  out.mats_ = p.mats_;
-  out.diags_ = p.diags_;
-  out.kraus_sets_ = p.kraus_sets_;
-  out.mats4_ = p.mats4_;
-  out.mats8_ = p.mats8_;
-  out.ops_.assign(p.ops_.begin(),
-                  p.ops_.begin() + static_cast<std::ptrdiff_t>(from_pos));
-  out.prologue_end_ = std::min(p.prologue_end_, from_pos);
-  for (const std::size_t e : p.op_end_) {
-    if (e > from_pos) break;
-    out.op_end_.push_back(e);
-  }
-
-  // Peephole state per circuit qubit.  An op can merge with an earlier op
-  // only by commuting past everything between them that touches its
-  // qubits, so each tracker encodes one commutation class:
-  //  - diag1_target[q]: latest coherent op absorbing a *one-qubit*
-  //    diagonal.  Valid while only ops commuting with diag(d0, d1) on q
-  //    touch q: thermal relaxation and one-qubit depolarizing on q (their
-  //    Kraus sets change by a global phase only), two-qubit depolarizing
-  //    containing q (the twirl mixes elements with equal diagonal-phase
-  //    factors), and CX with q as *control* (both diagonal in q).
-  //  - diag2_target[q]: latest diag-2q absorbing another diagonal on the
-  //    same pair.  Far stricter: a two-qubit phase does NOT commute with
-  //    relaxation or one-qubit depolarizing on either qubit (amplitude
-  //    damping maps |1,b> -> |0,b> across *different* RZZ phases), so only
-  //    one-qubit diagonals, same-pair depolarizing, and CX with a pair
-  //    qubit as control (and target outside the pair) may intervene.
-  //  - thermal_target[q]: latest relaxation on q.  Relaxation commutes
-  //    with one-qubit diagonals on q and nothing else, so only kDiag1q may
-  //    intervene; windows compose in closed form.
-  //  - last_touch[q]: latest op touching q of any kind — the only legal
-  //    merge partner for a general unitary, which commutes with nothing.
-  // Targets never point before from_pos (they start invalid), so the
-  // verbatim prefix is never mutated and a snapshot at from_pos stays a
-  // valid resume point.
-  constexpr int kNone = -1;
-  const std::size_t nq = static_cast<std::size_t>(p.num_qubits());
-  std::vector<int> last_touch(nq, kNone);
-  std::vector<int> diag1_target(nq, kNone);
-  std::vector<int> diag2_target(nq, kNone);
-  std::vector<int> thermal_target(nq, kNone);
-  std::vector<bool> dead(out.ops_.size(), false);
-
-  const auto append = [&](const TapeOp& op) -> int {
-    out.ops_.push_back(op);
-    dead.push_back(false);
-    return static_cast<int>(out.ops_.size() - 1);
-  };
-
-  for (std::size_t i = from_pos; i < p.size(); ++i) {
-    const TapeOp op = p.op(i);
-    const std::size_t q = static_cast<std::size_t>(op.q0);
-    switch (op.kind) {
-      case TapeOpKind::kUnitary1q: {
-        Mat2 m = out.mats_[op.payload];
-        const int t = diag1_target[q];
-        if (t != kNone) {
-          TapeOp& tgt = out.ops_[static_cast<std::size_t>(t)];
-          if (tgt.kind == TapeOpKind::kUnitary1q && tgt.q0 == op.q0 &&
-              t == last_touch[q]) {
-            // Adjacent unitaries on the same qubit: one matrix product.
-            out.mats_[tgt.payload] = math::mul(m, out.mats_[tgt.payload]);
-            thermal_target[q] = kNone;
-            continue;
-          }
-          if (tgt.kind == TapeOpKind::kDiag1q && tgt.q0 == op.q0) {
-            // Hoist the pure diagonal forward through the commuting
-            // channels between it and this gate, then absorb it.
-            m = math::mul(m, coherent_mat(p, tgt, out.mats_, out.diags_));
-            dead[static_cast<std::size_t>(t)] = true;
-          }
-        }
-        TapeOp merged = op;
-        merged.kind = TapeOpKind::kUnitary1q;
-        merged.payload = static_cast<std::uint32_t>(out.mats_.size());
-        out.mats_.push_back(m);
-        const int idx = append(merged);
-        diag1_target[q] = idx;
-        diag2_target[q] = kNone;
-        thermal_target[q] = kNone;
-        last_touch[q] = idx;
-        break;
-      }
-      case TapeOpKind::kDiag1q: {
-        const std::array<cplx, 4>& d = out.diags_[op.payload];
-        const int t = diag1_target[q];
-        if (t != kNone) {
-          TapeOp& tgt = out.ops_[static_cast<std::size_t>(t)];
-          if (tgt.kind == TapeOpKind::kDiag1q && tgt.q0 == op.q0) {
-            auto& td = out.diags_[tgt.payload];
-            td[0] *= d[0];
-            td[1] *= d[1];
-            continue;
-          }
-          if (tgt.kind == TapeOpKind::kUnitary1q && tgt.q0 == op.q0) {
-            Mat2& tm = out.mats_[tgt.payload];
-            tm(0, 0) *= d[0];
-            tm(0, 1) *= d[0];
-            tm(1, 0) *= d[1];
-            tm(1, 1) *= d[1];
-            continue;
-          }
-          if (tgt.kind == TapeOpKind::kDiag2q &&
-              (tgt.q0 == op.q0 || tgt.q1 == op.q0)) {
-            auto& td = out.diags_[tgt.payload];
-            if (tgt.q0 == op.q0) {
-              td[0] *= d[0];
-              td[2] *= d[0];
-              td[1] *= d[1];
-              td[3] *= d[1];
-            } else {
-              td[0] *= d[0];
-              td[1] *= d[0];
-              td[2] *= d[1];
-              td[3] *= d[1];
-            }
-            continue;
-          }
-        }
-        const int idx = append(op);
-        diag1_target[q] = idx;
-        // A one-qubit diagonal is transparent to diag-2q and relaxation
-        // merges on q, so those targets survive.
-        last_touch[q] = idx;
-        break;
-      }
-      case TapeOpKind::kDiag2q: {
-        const std::size_t qa = q;
-        const std::size_t qb = static_cast<std::size_t>(op.q1);
-        const int t = diag2_target[qa];
-        if (t != kNone && diag2_target[qb] == t) {
-          TapeOp& tgt = out.ops_[static_cast<std::size_t>(t)];
-          CHARTER_ASSERT(tgt.kind == TapeOpKind::kDiag2q,
-                         "diag2 target must be a diag-2q op");
-          const std::array<cplx, 4>& d = out.diags_[op.payload];
-          auto& td = out.diags_[tgt.payload];
-          if (tgt.q0 == op.q0 && tgt.q1 == op.q1) {
-            for (std::size_t k = 0; k < 4; ++k) td[k] *= d[k];
-            continue;
-          }
-          if (tgt.q0 == op.q1 && tgt.q1 == op.q0) {
-            // Same pair, swapped index convention: permute bits 0 <-> 1.
-            td[0] *= d[0];
-            td[1] *= d[2];
-            td[2] *= d[1];
-            td[3] *= d[3];
-            continue;
-          }
-        }
-        const int idx = append(op);
-        diag1_target[qa] = idx;
-        diag1_target[qb] = idx;
-        diag2_target[qa] = idx;
-        diag2_target[qb] = idx;
-        // Relaxation cannot cross a two-qubit phase (see class comment).
-        thermal_target[qa] = kNone;
-        thermal_target[qb] = kNone;
-        last_touch[qa] = idx;
-        last_touch[qb] = idx;
-        break;
-      }
-      case TapeOpKind::kThermal: {
-        const int t = thermal_target[q];
-        if (t != kNone) {
-          // Closed-form window composition: survival amplitudes and
-          // phase-keep factors both multiply.
-          TapeOp& tgt = out.ops_[static_cast<std::size_t>(t)];
-          tgt.a = 1.0 - (1.0 - tgt.a) * (1.0 - op.a);
-          const double keep = (1.0 - 2.0 * tgt.b) * (1.0 - 2.0 * op.b);
-          tgt.b = 0.5 * (1.0 - keep);
-          continue;
-        }
-        const int idx = append(op);
-        thermal_target[q] = idx;
-        diag2_target[q] = kNone;
-        last_touch[q] = idx;
-        break;
-      }
-      case TapeOpKind::kDepol1q: {
-        const int idx = append(op);
-        thermal_target[q] = kNone;
-        diag2_target[q] = kNone;
-        last_touch[q] = idx;
-        break;
-      }
-      case TapeOpKind::kDepol2q: {
-        const int idx = append(op);
-        for (const std::size_t qq : {q, static_cast<std::size_t>(op.q1)}) {
-          thermal_target[qq] = kNone;
-          // diag-2q merges survive only across depolarizing on the *same*
-          // pair.
-          const int t = diag2_target[qq];
-          if (t != kNone) {
-            const TapeOp& tgt = out.ops_[static_cast<std::size_t>(t)];
-            const bool same_pair =
-                (tgt.q0 == op.q0 && tgt.q1 == op.q1) ||
-                (tgt.q0 == op.q1 && tgt.q1 == op.q0);
-            if (!same_pair) diag2_target[qq] = kNone;
-          }
-          last_touch[qq] = idx;
-        }
-        break;
-      }
-      case TapeOpKind::kCx: {
-        const int idx = append(op);
-        const std::size_t qc = q;
-        const std::size_t qt = static_cast<std::size_t>(op.q1);
-        // Diagonals commute with CX on its *control*; the target leg
-        // blocks them, and relaxation commutes with neither leg.
-        diag1_target[qt] = kNone;
-        diag2_target[qt] = kNone;
-        if (diag2_target[qc] != kNone) {
-          // A pair phase crosses the control leg only when the CX target
-          // lies outside the pair.
-          const TapeOp& tgt =
-              out.ops_[static_cast<std::size_t>(diag2_target[qc])];
-          if (tgt.q0 == op.q1 || tgt.q1 == op.q1) diag2_target[qc] = kNone;
-        }
-        thermal_target[qc] = kNone;
-        thermal_target[qt] = kNone;
-        last_touch[qc] = idx;
-        last_touch[qt] = idx;
-        break;
-      }
-      case TapeOpKind::kBitflip:
-      case TapeOpKind::kKraus1q: {
-        const int idx = append(op);
-        diag1_target[q] = kNone;
-        diag2_target[q] = kNone;
-        thermal_target[q] = kNone;
-        last_touch[q] = idx;
-        break;
-      }
-      case TapeOpKind::kUnitary2q:
-      case TapeOpKind::kUnitary3q: {
-        // Dense wide ops only appear on already-optimized (fused-wide)
-        // tapes; treat them as opaque barriers on every operand.
-        const int idx = append(op);
-        for (const std::int16_t raw : {op.q0, op.q1, op.q2}) {
-          if (raw < 0) continue;
-          const std::size_t qq = static_cast<std::size_t>(raw);
-          diag1_target[qq] = kNone;
-          diag2_target[qq] = kNone;
-          thermal_target[qq] = kNone;
-          last_touch[qq] = idx;
-        }
-        break;
-      }
-    }
-  }
-
-  if (std::find(dead.begin(), dead.end(), true) != dead.end()) {
-    std::vector<TapeOp> compact;
-    compact.reserve(out.ops_.size());
-    for (std::size_t i = 0; i < out.ops_.size(); ++i)
-      if (!dead[i]) compact.push_back(out.ops_[i]);
-    out.ops_ = std::move(compact);
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Wide-gate fusion (kFusedWide)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-int initial_fusion_width() {
-  if (const char* env = std::getenv("CHARTER_FUSION_WIDTH")) {
-    if (std::strcmp(env, "2") == 0) return 2;
-    if (std::strcmp(env, "3") == 0) return 3;
-    std::fprintf(stderr,
-                 "charter: ignoring CHARTER_FUSION_WIDTH=%s (want 2 or 3); "
-                 "keeping default 2\n",
-                 env);
-  }
-  return 2;
-}
-
-std::atomic<int>& fusion_width_state() {
-  static std::atomic<int> width{initial_fusion_width()};
-  return width;
-}
-
-/// Pending coherent block in the fused-wide walk: a dense unitary over
-/// `width` cluster qubits.  Index bit k of `u` corresponds to qubits[k];
-/// `u` is row-major with dim = 2^width, and only the leading dim*dim
-/// entries are meaningful.
+/// Pending coherent block in the fused_wide walk: a dense unitary over
+/// `width` (1 or 2) cluster qubits.  Index bit k of `u` corresponds to
+/// qubits[k]; `u` is row-major with dim = 2^width, and only the leading
+/// dim*dim entries are meaningful.
 struct Cluster {
   int width = 0;
-  std::array<int, 3> qubits{{-1, -1, -1}};
-  std::array<cplx, 64> u{};
+  std::array<int, 2> qubits{{-1, -1}};
+  std::array<cplx, 16> u{};
   std::uint64_t seq = 0;  ///< creation order; fixes the final-flush order
   bool live = false;
 };
@@ -1048,38 +715,12 @@ void cluster_lmul(Cluster& c, const cplx* g, const int* pos, int gw) {
 
 }  // namespace
 
-int fusion_width() {
-  return fusion_width_state().load(std::memory_order_relaxed);
-}
-
-void set_fusion_width(int width) {
-  fusion_width_state().store(std::clamp(width, 2, 3),
-                             std::memory_order_relaxed);
-}
-
-NoiseProgram fused_wide(const NoiseProgram& p, std::size_t from_pos,
-                        int max_width) {
-  require(from_pos <= p.size(), "fusion start past the end of the tape");
-  if (max_width == 0) max_width = fusion_width();
-  max_width = std::clamp(max_width, 2, 3);
-
+NoiseProgram fused_wide(const NoiseProgram& p) {
   NoiseProgram out(p.num_qubits());
-  out.level_ = OptLevel::kFusedWide;
   out.mats_ = p.mats_;
   out.diags_ = p.diags_;
   out.kraus_sets_ = p.kraus_sets_;
   out.mats4_ = p.mats4_;
-  out.mats8_ = p.mats8_;
-  // Verbatim prefix: like fused(), ops before from_pos are copied
-  // untouched so a checkpoint snapshot at from_pos stays a valid resume
-  // point on the optimized tape.
-  out.ops_.assign(p.ops_.begin(),
-                  p.ops_.begin() + static_cast<std::ptrdiff_t>(from_pos));
-  out.prologue_end_ = std::min(p.prologue_end_, from_pos);
-  for (const std::size_t e : p.op_end_) {
-    if (e > from_pos) break;
-    out.op_end_.push_back(e);
-  }
 
   const std::size_t nq = static_cast<std::size_t>(p.num_qubits());
   std::vector<Cluster> clusters;   // slots are never erased; ids stay stable
@@ -1135,17 +776,13 @@ NoiseProgram fused_wide(const NoiseProgram& p, std::size_t from_pos,
         for (std::size_t k = 0; k < 4; ++k) m.m[k] = c.u[k];
         out.append_unitary_1q(m, c.qubits[0]);
       }
-    } else if (c.width == 2) {
-      if (diagonal) {
-        out.append_diag_2q({c.u[0], c.u[5], c.u[10], c.u[15]}, c.qubits[0],
-                           c.qubits[1]);
-      } else {
-        math::Mat4 m;
-        for (std::size_t k = 0; k < 16; ++k) m.m[k] = c.u[k];
-        out.append_unitary_2q(m, c.qubits[0], c.qubits[1]);
-      }
+    } else if (diagonal) {
+      out.append_diag_2q({c.u[0], c.u[5], c.u[10], c.u[15]}, c.qubits[0],
+                         c.qubits[1]);
     } else {
-      out.append_unitary_3q(c.u, c.qubits[0], c.qubits[1], c.qubits[2]);
+      math::Mat4 m;
+      for (std::size_t k = 0; k < 16; ++k) m.m[k] = c.u[k];
+      out.append_unitary_2q(m, c.qubits[0], c.qubits[1]);
     }
     for (int k = 0; k < c.width; ++k)
       owner[static_cast<std::size_t>(c.qubits[k])] = -1;
@@ -1157,27 +794,25 @@ NoiseProgram fused_wide(const NoiseProgram& p, std::size_t from_pos,
     if (id != -1) flush(id);
   };
 
-  // Kronecker-merges cluster b_id into a_id's slot with A's index bits
-  // low: merged[(rb << wa) | ra, (cb << wa) | ca] = B[rb, cb] * A[ra, ca].
+  // Kronecker-merges two one-qubit clusters into a_id's slot with A's
+  // index bit low: merged[(rb << 1) | ra, (cb << 1) | ca] = B[rb, cb] *
+  // A[ra, ca].
   const auto merge = [&](int a_id, int b_id) -> int {
     const Cluster a = clusters[static_cast<std::size_t>(a_id)];
     const Cluster b = clusters[static_cast<std::size_t>(b_id)];
+    CHARTER_ASSERT(a.width == 1 && b.width == 1,
+                   "merged cluster exceeds two qubits");
     Cluster m;
-    m.width = a.width + b.width;
-    CHARTER_ASSERT(m.width <= 3, "merged cluster exceeds max fusion width");
-    const int da = 1 << a.width;
-    const int db = 1 << b.width;
-    const int dm = da * db;
-    for (int k = 0; k < a.width; ++k) m.qubits[k] = a.qubits[k];
-    for (int k = 0; k < b.width; ++k) m.qubits[a.width + k] = b.qubits[k];
-    for (int rb = 0; rb < db; ++rb)
-      for (int cb = 0; cb < db; ++cb)
-        for (int ra = 0; ra < da; ++ra)
-          for (int ca = 0; ca < da; ++ca)
-            m.u[static_cast<std::size_t>(((rb << a.width) | ra) * dm +
-                                         ((cb << a.width) | ca))] =
-                b.u[static_cast<std::size_t>(rb * db + cb)] *
-                a.u[static_cast<std::size_t>(ra * da + ca)];
+    m.width = 2;
+    m.qubits = {{a.qubits[0], b.qubits[0]}};
+    for (int rb = 0; rb < 2; ++rb)
+      for (int cb = 0; cb < 2; ++cb)
+        for (int ra = 0; ra < 2; ++ra)
+          for (int ca = 0; ca < 2; ++ca)
+            m.u[static_cast<std::size_t>(((rb << 1) | ra) * 4 +
+                                         ((cb << 1) | ca))] =
+                b.u[static_cast<std::size_t>(rb * 2 + cb)] *
+                a.u[static_cast<std::size_t>(ra * 2 + ca)];
     m.seq = std::min(a.seq, b.seq);
     m.live = true;
     clusters[static_cast<std::size_t>(a_id)] = m;
@@ -1188,8 +823,8 @@ NoiseProgram fused_wide(const NoiseProgram& p, std::size_t from_pos,
   };
 
   // Folds a two-qubit gate (row-major 4x4, index bit 0 = qa) into the
-  // cluster state.  If the operands' clusters cannot merge under
-  // max_width, both retire and the gate seeds a fresh pair cluster.
+  // cluster state.  If the operands' clusters cannot merge into two
+  // qubits, both retire and the gate seeds a fresh pair cluster.
   const auto apply_2q_gate = [&](const std::array<cplx, 16>& g, int qa,
                                  int qb) {
     int ia = owner[static_cast<std::size_t>(qa)];
@@ -1199,13 +834,13 @@ NoiseProgram fused_wide(const NoiseProgram& p, std::size_t from_pos,
                               : 1;
       const int wb = ib != -1 ? clusters[static_cast<std::size_t>(ib)].width
                               : 1;
-      if (wa + wb > max_width) {
+      if (wa + wb > 2) {
         flush_qubit(qa);
         flush_qubit(qb);
         Cluster c;
         c.width = 2;
-        c.qubits = {{qa, qb, -1}};
-        for (std::size_t k = 0; k < 16; ++k) c.u[k] = g[k];
+        c.qubits = {{qa, qb}};
+        c.u = g;
         c.seq = next_seq++;
         c.live = true;
         clusters.push_back(c);
@@ -1223,8 +858,7 @@ NoiseProgram fused_wide(const NoiseProgram& p, std::size_t from_pos,
     cluster_lmul(c, g.data(), pos, 2);
   };
 
-  for (std::size_t i = from_pos; i < p.size(); ++i) {
-    const TapeOp& op = p.ops_[i];
+  for (const TapeOp& op : p.ops_) {
     switch (op.kind) {
       case TapeOpKind::kUnitary1q: {
         Cluster& c = clusters[static_cast<std::size_t>(ensure(op.q0))];
@@ -1263,18 +897,15 @@ NoiseProgram fused_wide(const NoiseProgram& p, std::size_t from_pos,
       case TapeOpKind::kDepol2q:
       case TapeOpKind::kBitflip:
       case TapeOpKind::kKraus1q:
-      case TapeOpKind::kUnitary2q:
-      case TapeOpKind::kUnitary3q: {
+      case TapeOpKind::kUnitary2q: {
         // Stochastic channels are hard barriers: a trajectory run draws
         // RNG values in tape order, so pending coherent blocks on the
         // touched qubits retire first and the channel copies through
         // verbatim.  (Blocks on *disjoint* qubits may stay pending — a
         // unitary elsewhere leaves this channel's marginals invariant.)
-        // Dense wide ops from an already-optimized input tape take the
-        // same path.
+        // Dense ops from an already-fused input tape take the same path.
         flush_qubit(op.q0);
         if (op.q1 >= 0) flush_qubit(op.q1);
-        if (op.q2 >= 0) flush_qubit(op.q2);
         out.ops_.push_back(op);  // payload arrays were copied wholesale
         break;
       }

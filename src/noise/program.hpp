@@ -18,28 +18,18 @@
 /// AVX-512, AVX2+FMA, SSE2/NEON, or scalar — so tape interpretation inherits
 /// the vectorized kernels at no per-op cost beyond one table load.
 ///
-/// The pipeline is lower -> optimize -> execute:
+/// The pipeline is lower -> execute, on one exact tape:
 ///
 ///  - lower() ports the NoisyExecutor walk (state-prep flips, lazy per-qubit
 ///    T1/T2 windows, lazy static-ZZ flushes, gates with coherent
 ///    miscalibration, per-gate depolarizing, drive-crosstalk phases) into
 ///    tape ops, emitting *exactly* the engine calls the interpretive walk
-///    made — OptLevel::kExact tape runs are bit-identical to it, for every
-///    engine, including the stochastic branch order of trajectories.
-///  - fused() is the optimizer: it merges runs of adjacent one-qubit
-///    unitaries on the same qubit into a single Mat2, folds RZ/ZZ diagonal
-///    chains into one diagonal op (commuting them past thermal/depolarizing
-///    channels, which diagonal unitaries commute with exactly), and
-///    coalesces per-qubit relaxation windows via the closed-form channel
-///    composition.  Fused results agree with exact to ~1e-12 (the float
-///    reassociation error), never more: fusion changes rounding, not
-///    physics.
-///  - fused_wide() is the trajectory-safe wide-gate optimizer: coherent
-///    runs consolidate into dense 2q/3q unitaries (kUnitary2q/kUnitary3q)
-///    while stochastic channels pass through as barriers in tape order, so
-///    the statevector trajectory path gets the fewer-wider-matmuls win
-///    without perturbing its random draw sequence.
+///    made — tape runs are bit-identical to it, for every engine, including
+///    the stochastic branch order of trajectories.
 ///  - run()/execute() interpret a tape region against an engine.
+///
+/// fused_wide() (two-qubit gate consolidation) is kept only for the
+/// repository benchmark's layer probe; no execution path runs its output.
 ///
 /// Tape positions.  The tape records where each circuit op's segment begins
 /// and ends, so the exec layer's streaming and prefix-checkpoint machinery
@@ -66,18 +56,6 @@
 
 namespace charter::noise {
 
-/// Tape optimization level.
-enum class OptLevel : std::uint8_t {
-  kExact = 0,  ///< no fusion; bit-identical to the interpretive walk
-  kFused = 1,  ///< gate/diagonal/relaxation fusion; ~1e-12 agreement
-  /// Wide coherent fusion (fused_wide()): adjacent gates consolidate into
-  /// dense 2q (and, at fusion width 3, 3q) unitaries.  Stochastic channels
-  /// are hard barriers — never merged, reordered, or dropped — so the
-  /// trajectory engines consume their random draws in the exact tape's
-  /// order and the ~1e-12 agreement holds per unravelling.
-  kFusedWide = 2,
-};
-
 /// Typed tape operation kinds.
 enum class TapeOpKind : std::uint8_t {
   kUnitary1q,  ///< general 2x2 on q0 (payload -> Mat2)
@@ -90,9 +68,7 @@ enum class TapeOpKind : std::uint8_t {
   kBitflip,    ///< X with probability a on q0 (state-prep error)
   kKraus1q,    ///< generic one-qubit Kraus set on q0 (payload -> set)
   kUnitary2q,  ///< dense 4x4 on (q0, q1), index bit(q0) + 2*bit(q1)
-               ///< (payload -> Mat4); emitted by fused_wide()
-  kUnitary3q,  ///< dense 8x8 on (q0, q1, q2), index bit(q0) + 2*bit(q1) +
-               ///< 4*bit(q2) (payload -> 64-entry row-major block)
+               ///< (payload -> Mat4); emitted only by fused_wide()
 };
 
 /// One tape op: fixed footprint, parameters inline, matrices via payload
@@ -101,7 +77,6 @@ struct TapeOp {
   TapeOpKind kind = TapeOpKind::kDiag1q;
   std::int16_t q0 = -1;
   std::int16_t q1 = -1;
-  std::int16_t q2 = -1;  ///< third operand (kUnitary3q only)
   std::uint32_t payload = 0;
   double a = 0.0;
   double b = 0.0;
@@ -113,12 +88,10 @@ class NoiseProgram {
   explicit NoiseProgram(int num_qubits) : num_qubits_(num_qubits) {}
 
   int num_qubits() const { return num_qubits_; }
-  OptLevel level() const { return level_; }
   std::size_t size() const { return ops_.size(); }
   const TapeOp& op(std::size_t i) const { return ops_[i]; }
 
-  // ---- region boundaries (valid for exact tapes; fused tapes keep only
-  //      the boundaries of the verbatim prefix they were fused from) ----
+  // ---- region boundaries (fused_wide() output carries none) ----
 
   /// Number of circuit ops this tape was lowered from.
   std::size_t num_circuit_ops() const { return op_end_.size(); }
@@ -157,7 +130,7 @@ class NoiseProgram {
   /// must match the program width.
   void execute(sim::NoisyEngine& engine) const;
 
-  // ---- append API (used by lower()/fused(); exposed for tests) ----
+  // ---- append API (used by lower()/fused_wide(); exposed for tests) ----
 
   void append_unitary_1q(const math::Mat2& u, int q);
   void append_diag_1q(math::cplx d0, math::cplx d1, int q);
@@ -169,8 +142,6 @@ class NoiseProgram {
   void append_bitflip(int q, double p);
   void append_kraus_1q(std::span<const math::Mat2> kraus, int q);
   void append_unitary_2q(const math::Mat4& u, int qa, int qb);
-  void append_unitary_3q(const std::array<math::cplx, 64>& u, int qa, int qb,
-                         int qc);
 
   // ---- payload access ----
 
@@ -183,13 +154,9 @@ class NoiseProgram {
     return {mats_.data() + set.offset, set.count};
   }
   const math::Mat4& mat4(std::uint32_t slot) const { return mats4_[slot]; }
-  const std::array<math::cplx, 64>& mat8(std::uint32_t slot) const {
-    return mats8_[slot];
-  }
 
-  /// Structural 128-bit fingerprint over width, level, every op, and every
-  /// payload.  Two tapes with equal fingerprints apply the same operations;
-  /// exact and fused tapes of the same circuit always differ.
+  /// Structural 128-bit fingerprint over width, every op, and every
+  /// payload.  Two tapes with equal fingerprints apply the same operations.
   std::array<std::uint64_t, 2> fingerprint() const;
 
   /// True when ops [begin, end) of this tape and \p other are identical
@@ -223,19 +190,14 @@ class NoiseProgram {
   };
 
   friend class Lowerer;
-  friend NoiseProgram fused(const NoiseProgram& program,
-                            std::size_t from_pos);
-  friend NoiseProgram fused_wide(const NoiseProgram& program,
-                                 std::size_t from_pos, int max_width);
+  friend NoiseProgram fused_wide(const NoiseProgram& program);
 
   int num_qubits_;
-  OptLevel level_ = OptLevel::kExact;
   std::vector<TapeOp> ops_;
   std::vector<math::Mat2> mats_;
   std::vector<std::array<math::cplx, 4>> diags_;
   std::vector<KrausSet> kraus_sets_;
   std::vector<math::Mat4> mats4_;
-  std::vector<std::array<math::cplx, 64>> mats8_;
   std::size_t prologue_end_ = 0;
   std::vector<std::size_t> op_end_;
   std::optional<ResumeInfo> resume_;
@@ -265,38 +227,16 @@ std::optional<NoiseProgram> lower_spliced(const NoiseModel& model,
                                           const circ::Circuit& c,
                                           std::size_t shared_ops);
 
-/// The optimizer: returns \p program with ops at positions >= \p from_pos
-/// fused (adjacent same-qubit unitary runs multiplied into one Mat2,
-/// diagonal chains merged through commuting channels, consecutive relaxation
-/// windows composed in closed form) and no-op channels dropped.  Ops before
-/// \p from_pos are copied verbatim and never merged into, so a state
-/// snapshot taken at \p from_pos stays a valid resume point.  Boundaries
-/// past \p from_pos are invalidated.
-NoiseProgram fused(const NoiseProgram& program, std::size_t from_pos = 0);
-
-/// The wide-gate optimizer behind OptLevel::kFusedWide: accumulates runs of
-/// adjacent *coherent* ops (unitaries, diagonals, CX) into per-qubit-set
-/// clusters of at most \p max_width qubits and emits each cluster as one
-/// dense kUnitary2q/kUnitary3q (or kUnitary1q/kDiag1q/kDiag2q when narrower
-/// or still diagonal) tape op — so the interpreter executes far fewer, wider
-/// matmuls.  Unlike fused(), stochastic channels are hard barriers: they are
-/// copied through in tape order and flush the clusters on their qubits, so a
-/// trajectory engine consumes random draws in exactly the exact tape's order
-/// and per-unravelling agreement stays ~1e-12.  Ops before \p from_pos are
-/// copied verbatim and never merged into (checkpoint splice contract).
-/// \p max_width 0 means "use the active fusion_width()"; valid widths are
-/// 2 and 3.
-NoiseProgram fused_wide(const NoiseProgram& program, std::size_t from_pos = 0,
-                        int max_width = 0);
-
-/// The process-wide fusion width fused_wide() consolidates to when callers
-/// pass max_width = 0: 2 by default, 3 when CHARTER_FUSION_WIDTH=3 (read
-/// once at first use; unknown values warn and keep the default).  Part of
-/// the exec::fingerprint cache key for kFusedWide runs.
-int fusion_width();
-
-/// Overrides the active fusion width (tests/tools); clamps to [2, 3].
-void set_fusion_width(int width);
+/// Two-qubit gate consolidation: accumulates runs of adjacent *coherent*
+/// ops (unitaries, diagonals, CX) into per-qubit-pair clusters and emits
+/// each cluster as one dense kUnitary2q (or kUnitary1q/kDiag1q/kDiag2q when
+/// narrower or still diagonal) tape op.  Stochastic channels are hard
+/// barriers, copied through in tape order, so a trajectory engine consumes
+/// random draws in the exact tape's order and per-unravelling agreement
+/// with the exact tape stays ~1e-12.  The result carries no region
+/// boundaries.  No execution path uses it: it stays only because the
+/// repository benchmark's layer probe (perfbench) times and executes it.
+NoiseProgram fused_wide(const NoiseProgram& program);
 
 /// Fingerprint of the tape schema itself: mixed into exec::RunCache keys so
 /// cached results can never survive a change to the lowering pipeline's

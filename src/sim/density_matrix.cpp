@@ -28,12 +28,6 @@ inline math::Mat4 conj4(const math::Mat4& u) {
   return r;
 }
 
-inline std::array<cplx, 64> conj8(const std::array<cplx, 64>& u) {
-  std::array<cplx, 64> r;
-  for (std::size_t i = 0; i < 64; ++i) r[i] = std::conj(u[i]);
-  return r;
-}
-
 }  // namespace
 
 DensityMatrixEngine::DensityMatrixEngine(int num_qubits)
@@ -106,13 +100,6 @@ void DensityMatrixEngine::apply_unitary_2q(const math::Mat4& u, int qa,
   kernels::apply_2q(rho_.data(), dim2(), qa, qb, u);
   kernels::apply_2q(rho_.data(), dim2(), qa + num_qubits_, qb + num_qubits_,
                     conj4(u));
-}
-
-void DensityMatrixEngine::apply_unitary_3q(const std::array<cplx, 64>& u,
-                                           int qa, int qb, int qc) {
-  kernels::apply_3q(rho_.data(), dim2(), qa, qb, qc, u);
-  kernels::apply_3q(rho_.data(), dim2(), qa + num_qubits_, qb + num_qubits_,
-                    qc + num_qubits_, conj8(u));
 }
 
 void DensityMatrixEngine::apply_thermal_relaxation(int q, double gamma,

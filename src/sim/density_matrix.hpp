@@ -50,8 +50,6 @@ class DensityMatrixEngine final : public NoisyEngine {
   void apply_diag_2q(const std::array<math::cplx, 4>& d, int qa,
                      int qb) override;
   void apply_unitary_2q(const math::Mat4& u, int qa, int qb) override;
-  void apply_unitary_3q(const std::array<math::cplx, 64>& u, int qa, int qb,
-                        int qc) override;
 
   void apply_thermal_relaxation(int q, double gamma, double pz) override;
   void apply_depolarizing_1q(int q, double p) override;

@@ -46,13 +46,7 @@ class NoisyEngine {
                              int qb) = 0;
 
   /// Dense two-qubit unitary; index convention bit(qa) + 2*bit(qb).
-  /// Emitted by the wide-gate fusion pass (noise::fused_wide).
   virtual void apply_unitary_2q(const math::Mat4& u, int qa, int qb) = 0;
-
-  /// Dense three-qubit unitary (row-major 8x8); index convention
-  /// bit(qa) + 2*bit(qb) + 4*bit(qc).  Emitted at fusion width 3.
-  virtual void apply_unitary_3q(const std::array<math::cplx, 64>& u, int qa,
-                                int qb, int qc) = 0;
 
   // ---- noise channels ----
 

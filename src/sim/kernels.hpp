@@ -112,48 +112,11 @@ inline void apply_diag_2q(cplx* a, std::uint64_t dim, int qa, int qb,
 }
 
 /// Applies a general 4x4 unitary on (qa, qb); matrix index convention as in
-/// gate_unitary_2q: idx = bit(qa) + 2*bit(qb).  Hot since the wide-gate
-/// fusion pass started emitting dense kUnitary2q tape ops, so it dispatches
-/// through the SIMD layer like the 1q kernels.
+/// gate_unitary_2q: idx = bit(qa) + 2*bit(qb).  Dispatches through the
+/// SIMD layer like the 1q kernels.
 inline void apply_2q(cplx* a, std::uint64_t dim, int qa, int qb,
                      const Mat4& u) {
   math::simd::active().apply_2q(a, dim, qa, qb, u);
-}
-
-/// Applies a general 8x8 unitary (row-major) on (qa, qb, qc); index
-/// convention bit(qa) + 2*bit(qb) + 4*bit(qc).  Reachable only at fusion
-/// width 3, and each group's 8x8 matvec already amortizes the gather, so a
-/// cache-blocked scalar loop suffices.
-inline void apply_3q(cplx* a, std::uint64_t dim, int qa, int qb, int qc,
-                     const std::array<cplx, 64>& u) {
-  const std::uint64_t amask = 1ULL << qa;
-  const std::uint64_t bmask = 1ULL << qb;
-  const std::uint64_t cmask = 1ULL << qc;
-  std::uint64_t sorted[3] = {amask, bmask, cmask};
-  if (sorted[0] > sorted[1]) std::swap(sorted[0], sorted[1]);
-  if (sorted[1] > sorted[2]) std::swap(sorted[1], sorted[2]);
-  if (sorted[0] > sorted[1]) std::swap(sorted[0], sorted[1]);
-  const std::uint64_t m0 = sorted[0], m1 = sorted[1], m2 = sorted[2];
-  util::parallel_for(
-      static_cast<std::int64_t>(dim >> 3), [=, &u](std::int64_t i) {
-        // Insert 0 bits at the three qubit positions, lowest first.
-        std::uint64_t base = static_cast<std::uint64_t>(i);
-        base = ((base & ~(m0 - 1)) << 1) | (base & (m0 - 1));
-        base = ((base & ~(m1 - 1)) << 1) | (base & (m1 - 1));
-        base = ((base & ~(m2 - 1)) << 1) | (base & (m2 - 1));
-        std::uint64_t idx[8];
-        for (int k = 0; k < 8; ++k)
-          idx[k] = base | ((k & 1) ? amask : 0) | ((k & 2) ? bmask : 0) |
-                   ((k & 4) ? cmask : 0);
-        cplx in[8];
-        for (int k = 0; k < 8; ++k) in[k] = a[idx[k]];
-        for (int r = 0; r < 8; ++r) {
-          cplx acc = 0.0;
-          for (int k = 0; k < 8; ++k)
-            acc += u[static_cast<std::size_t>(r * 8 + k)] * in[k];
-          a[idx[r]] = acc;
-        }
-      });
 }
 
 /// Applies Toffoli (controls c0, c1; target t).

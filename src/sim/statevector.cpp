@@ -141,14 +141,6 @@ void Statevector::apply_unitary_2q(const math::Mat4& u, int qa, int qb) {
   kernels::apply_2q(amps_.data(), dim(), qa, qb, u);
 }
 
-void Statevector::apply_unitary_3q(const std::array<cplx, 64>& u, int qa,
-                                   int qb, int qc) {
-  require(qa >= 0 && qa < num_qubits_ && qb >= 0 && qb < num_qubits_ &&
-              qc >= 0 && qc < num_qubits_ && qa != qb && qa != qc && qb != qc,
-          "qubits out of range");
-  kernels::apply_3q(amps_.data(), dim(), qa, qb, qc, u);
-}
-
 std::vector<double> Statevector::probabilities() const {
   std::vector<double> p(dim());
   const cplx* a = amps_.data();

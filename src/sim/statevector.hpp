@@ -58,11 +58,6 @@ class Statevector {
   /// Applies an explicit 4x4 unitary on (qa, qb).
   void apply_unitary_2q(const math::Mat4& u, int qa, int qb);
 
-  /// Applies an explicit 8x8 unitary (row-major) on (qa, qb, qc); index
-  /// convention bit(qa) + 2*bit(qb) + 4*bit(qc).
-  void apply_unitary_3q(const std::array<math::cplx, 64>& u, int qa, int qb,
-                        int qc);
-
   /// Measurement probabilities |amp_k|^2 for all 2^n outcomes.
   std::vector<double> probabilities() const;
 

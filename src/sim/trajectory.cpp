@@ -57,11 +57,6 @@ void TrajectoryEngine::apply_unitary_2q(const math::Mat4& u, int qa, int qb) {
   state_.apply_unitary_2q(u, qa, qb);
 }
 
-void TrajectoryEngine::apply_unitary_3q(const std::array<cplx, 64>& u, int qa,
-                                        int qb, int qc) {
-  state_.apply_unitary_3q(u, qa, qb, qc);
-}
-
 void TrajectoryEngine::apply_pauli(int which, int q) {
   cplx* a = state_.mutable_amplitudes().data();
   const std::uint64_t d = state_.dim();

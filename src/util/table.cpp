@@ -1,7 +1,8 @@
 #include "util/table.hpp"
 
-#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -81,9 +82,13 @@ std::string Table::fmt_pvalue(double p) {
   if (p >= 0.01) {
     std::snprintf(buf, sizeof(buf), "%.2f", p);
   } else {
-    const int exponent = static_cast<int>(std::floor(std::log10(p)));
-    const double mantissa = p / std::pow(10.0, exponent);
-    std::snprintf(buf, sizeof(buf), "%.2fe%d", mantissa, exponent);
+    // %.2e rounds the mantissa and carries into the exponent (9.996e-5
+    // prints 1.00e-04); the exponent is then rewritten without padding.
+    std::snprintf(buf, sizeof(buf), "%.2e", p);
+    char* e = std::strchr(buf, 'e');
+    const int exponent = std::atoi(e + 1);
+    std::snprintf(e, sizeof(buf) - static_cast<std::size_t>(e - buf), "e%d",
+                  exponent);
   }
   return buf;
 }

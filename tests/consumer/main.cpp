@@ -56,9 +56,8 @@ int main() {
 
   // Every executed (non-cache-hit) job is counted under the path it ran.
   const auto& paths = stats.strategy_jobs;
-  const std::size_t by_path = paths.dm_exact + paths.dm_fused +
-                              paths.dm_fused_wide + paths.trajectory +
-                              paths.checkpoint_splice;
+  const std::size_t by_path =
+      paths.dm_exact + paths.trajectory + paths.checkpoint_splice;
   if (by_path != stats.jobs - stats.cache_hits) {
     std::fprintf(stderr, "exec stats lost paths: %zu of %zu executed jobs\n",
                  by_path, stats.jobs - stats.cache_hits);

@@ -4,8 +4,7 @@
 // runs, engine clone/save/load round-trips, the checkpoint memory budget
 // degrades to replay instead of wrong answers, trajectory jobs resume from
 // RNG-carrying engine clones, shards partition by checkpoint segment, the
-// striped cache survives concurrent hammering, fused-wide jobs at different
-// fusion widths never share a tape, the adaptive trajectory sweep
+// striped cache survives concurrent hammering, the adaptive trajectory sweep
 // (full-budget bit-equality, early termination with rank preservation,
 // pool-width determinism, job validation), and — the parallel driver's
 // headline contract — full CharterReports are bit-identical at every worker
@@ -393,79 +392,8 @@ TEST(AnalyzerEquivalence, TrajectoryAnalysisUnchangedByBatching) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused-mode analysis (tape optimizer end to end)
-// ---------------------------------------------------------------------------
-
-TEST(FusedAnalysis, RankingsMatchExactAnalysis) {
-  // Acceptance: with fusion on, analyzer gate rankings are unchanged while
-  // every TVD agrees with the exact run to well below ranking resolution.
-  const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
-  const cb::CompiledProgram program = compiled_program(backend);
-
-  co::CharterOptions options;
-  options.reversals = 3;
-  options.run.shots = 0;  // exact engine distributions: deterministic TVDs
-  options.run.seed = 2022;
-  options.exec.caching = false;
-  options.exec.checkpointing = true;
-
-  options.run.opt = charter::noise::OptLevel::kExact;
-  const co::CharterReport exact =
-      co::CharterAnalyzer(backend, options).analyze(program);
-  options.run.opt = charter::noise::OptLevel::kFused;
-  const co::CharterReport fused =
-      co::CharterAnalyzer(backend, options).analyze(program);
-
-  ASSERT_GE(exact.analyzed_gates, 30u);
-  ASSERT_EQ(exact.impacts.size(), fused.impacts.size());
-  for (std::size_t k = 0; k < exact.impacts.size(); ++k)
-    EXPECT_NEAR(exact.impacts[k].tvd, fused.impacts[k].tvd, 1e-10)
-        << "gate " << k;
-
-  const auto exact_ranked = exact.sorted_by_impact();
-  const auto fused_ranked = fused.sorted_by_impact();
-  for (std::size_t k = 0; k < exact_ranked.size(); ++k)
-    EXPECT_EQ(exact_ranked[k].op_index, fused_ranked[k].op_index)
-        << "rank " << k;
-}
-
-TEST(FusedAnalysis, CheckpointedMatchesNaiveWithinTolerance) {
-  const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
-  const cb::CompiledProgram program = compiled_program(backend, 2);
-
-  co::CharterOptions options;
-  options.reversals = 2;
-  options.run.shots = 0;
-  options.run.seed = 5;
-  options.run.opt = charter::noise::OptLevel::kFused;
-  options.exec.caching = false;
-
-  options.exec.checkpointing = true;
-  const co::CharterReport fast =
-      co::CharterAnalyzer(backend, options).analyze(program);
-  options.exec.checkpointing = false;
-  const co::CharterReport naive =
-      co::CharterAnalyzer(backend, options).analyze(program);
-
-  ASSERT_EQ(fast.impacts.size(), naive.impacts.size());
-  for (std::size_t k = 0; k < fast.impacts.size(); ++k)
-    EXPECT_NEAR(fast.impacts[k].tvd, naive.impacts[k].tvd, 1e-10);
-}
-
-// ---------------------------------------------------------------------------
 // Fingerprints
 // ---------------------------------------------------------------------------
-
-TEST(Fingerprints, OptimizationLevelChangesRunKeys) {
-  cb::RunOptions exact, fused;
-  fused.opt = charter::noise::OptLevel::kFused;
-  EXPECT_FALSE(ex::fingerprint(exact) == ex::fingerprint(fused));
-
-  const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
-  const cb::CompiledProgram p = compiled_program(backend, 1);
-  EXPECT_FALSE(ex::run_key(p, backend, exact) ==
-               ex::run_key(p, backend, fused));
-}
 
 TEST(Fingerprints, DistinguishProgramsOptionsAndDevices) {
   const cb::FakeBackend lagos_a = cb::FakeBackend::lagos(7);
@@ -782,8 +710,8 @@ TEST(AnalyzerEquivalence, CommonRandomNumbersTrajectorySharingMatchesNaive) {
 // Determinism matrix: the parallel driver's headline contract.  The full
 // CharterReport — every score, the output distribution, and the exec layer's
 // cache/checkpoint counters — is bit-identical at every worker-pool width,
-// for the density-matrix engine (exact and fused tapes) and the trajectory
-// engine (independent seeds and common random numbers).
+// for the density-matrix engine and the trajectory engine (independent seeds
+// and common random numbers).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -855,8 +783,6 @@ TEST(DeterminismMatrix, ReportsBitIdenticalAcrossThreadCounts) {
     dm.run.shots = 4096;
     dm.run.seed = 2022;
     configs.push_back({"dm_exact", dm});
-    dm.run.opt = cn::OptLevel::kFused;
-    configs.push_back({"dm_fused", dm});
 
     co::CharterOptions traj;
     traj.reversals = 2;
@@ -1013,65 +939,6 @@ TEST(BatchRunner, BackendRunMatchesBatchAtEveryOpenMpWidth) {
     EXPECT_TRUE(bits_equal(backend.run(program, job.run), batched));
 #endif
   }
-}
-
-// ---------------------------------------------------------------------------
-// Fused-wide tape sharing: width is part of the group key
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void expect_distributions_close(const std::vector<double>& a,
-                                const std::vector<double>& b, double tol,
-                                const std::string& label) {
-  ASSERT_EQ(a.size(), b.size()) << label;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_NEAR(a[i], b[i], tol) << label << " outcome " << i;
-}
-
-}  // namespace
-
-TEST(FusedWideGrouping, MixedFusionWidthJobsNeverShareATape) {
-  // A width-2 and a width-3 fused-wide run lower to different tapes; before
-  // the tape key mixed the resolved width, a mixed batch could splice one
-  // job's suffix into a tape fused at the other width.  Every job must match
-  // its own standalone run to the fusion tolerance.
-  const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
-  const cb::CompiledProgram program = compiled_program(backend, 2);
-  const std::vector<std::size_t> eligible =
-      co::reversible_ops(program.physical, true);
-  ASSERT_GE(eligible.size(), 4u);
-
-  std::vector<cb::CompiledProgram> reversed;
-  std::vector<ex::AnalysisJob> jobs;
-  reversed.reserve(4);
-  for (std::size_t k = 0; k < 4; ++k) {
-    const std::size_t g = eligible[k];
-    cb::CompiledProgram rev = program;
-    rev.physical = co::insert_reversed_pairs(program.physical, g, 2, true);
-    reversed.push_back(std::move(rev));
-    cb::RunOptions run;
-    run.shots = 4096;
-    run.seed = 11 + g;
-    run.opt = cn::OptLevel::kFusedWide;
-    run.fusion_width = (k % 2 == 0) ? 2 : 3;
-    jobs.push_back({&reversed.back(), run, g + 1});
-  }
-
-  ex::BatchOptions options;
-  options.caching = false;
-  options.threads = 2;
-  ex::RunCache::global().clear();
-  const ex::BatchRunner runner(backend, options);
-  const std::vector<std::vector<double>> results =
-      runner.run(jobs, &program);
-  ASSERT_EQ(results.size(), jobs.size());
-
-  for (std::size_t k = 0; k < jobs.size(); ++k)
-    expect_distributions_close(
-        results[k], backend.run(reversed[k], jobs[k].run), 1e-12,
-        "fusion_width=" + std::to_string(jobs[k].run.fusion_width) + " job " +
-            std::to_string(k));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Tests for the NoiseProgram tape: exact lowering is equivalent to the
-// streaming walk, fused tapes agree with exact tapes to 1e-12 while being
-// strictly smaller, spliced lowering reproduces full lowering bit-exactly,
-// and fingerprints separate exact from fused tapes.
+// streaming walk, two-qubit fused tapes agree with exact tapes to 1e-12
+// while being strictly smaller, spliced lowering reproduces full lowering
+// bit-exactly, and fingerprints separate circuits.
 
 #include <gtest/gtest.h>
 
@@ -230,51 +230,28 @@ TEST(NoiseProgram, BoundariesPartitionTheTape) {
   EXPECT_GE(p.size(), prev);
 }
 
-TEST(NoiseProgram, FusedTapeAgreesWithinTolerance) {
-  // Satellite acceptance: fused-vs-exact state max-norm <= 1e-12 on random
-  // basis-gate circuits.
-  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL}) {
-    const cn::NoiseModel m = line_model(5, 100 + seed);
-    const cc::Circuit c = random_basis_circuit(5, 60, seed);
-    const cn::NoiseProgram exact = cn::lower(m, c);
-    const cn::NoiseProgram fused = cn::fused(exact);
-
-    EXPECT_LT(fused.size(), exact.size()) << "fusion should shrink the tape";
-
-    cs::DensityMatrixEngine a(5), b(5);
-    exact.execute(a);
-    fused.execute(b);
-    EXPECT_LE(max_abs_diff(a.raw(), b.raw()), 1e-12) << "seed " << seed;
-  }
-}
-
 TEST(NoiseProgram, FusedWideTapeAgreesWithinTolerance) {
-  // Tentpole acceptance: wide-gate fusion consolidates coherent runs into
-  // dense 2q/3q unitaries and still agrees with the exact tape to 1e-12.
+  // Wide-gate fusion consolidates coherent runs into dense two-qubit
+  // unitaries and still agrees with the exact tape to 1e-12.
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL}) {
     const cn::NoiseModel m = line_model(5, 200 + seed);
     const cc::Circuit c = random_basis_circuit(5, 60, seed);
     const cn::NoiseProgram exact = cn::lower(m, c);
-    for (const int width : {2, 3}) {
-      const cn::NoiseProgram wide = cn::fused_wide(exact, 0, width);
-      EXPECT_EQ(wide.level(), cn::OptLevel::kFusedWide);
-      EXPECT_LT(wide.size(), exact.size())
-          << "wide fusion should shrink the tape";
+    const cn::NoiseProgram wide = cn::fused_wide(exact);
+    EXPECT_LT(wide.size(), exact.size())
+        << "wide fusion should shrink the tape";
 
-      cs::DensityMatrixEngine a(5), b(5);
-      exact.execute(a);
-      wide.execute(b);
-      EXPECT_LE(max_abs_diff(a.raw(), b.raw()), 1e-12)
-          << "seed " << seed << " width " << width;
-    }
+    cs::DensityMatrixEngine a(5), b(5);
+    exact.execute(a);
+    wide.execute(b);
+    EXPECT_LE(max_abs_diff(a.raw(), b.raw()), 1e-12) << "seed " << seed;
   }
 }
 
 TEST(NoiseProgram, FusedWideTrajectoryAgreesAndPreservesRanking) {
-  // Trajectory runs honor kFusedWide because stochastic channels stay
-  // in-order barriers: the RNG draw sequence matches the exact tape, so
-  // per-seed results agree within the fusion tolerance and the outcome
-  // ranking is unchanged.
+  // Stochastic channels stay in-order barriers on the fused tape: the RNG
+  // draw sequence matches the exact tape, so per-seed results agree within
+  // the fusion tolerance and the outcome ranking is unchanged.
   const int n = 5;
   const cn::NoiseModel m = line_model(n, 307);
   const cc::Circuit c = random_basis_circuit(n, 60, 71);
@@ -329,55 +306,9 @@ TEST(NoiseProgram, FusedWideEmitsDenseWideOps) {
   const cn::NoiseProgram wide = cn::fused_wide(exact);
   std::size_t dense = 0;
   for (std::size_t i = 0; i < wide.size(); ++i)
-    dense += wide.op(i).kind == cn::TapeOpKind::kUnitary2q ||
-             wide.op(i).kind == cn::TapeOpKind::kUnitary3q;
+    dense += wide.op(i).kind == cn::TapeOpKind::kUnitary2q;
   EXPECT_GT(dense, 0u);
-  EXPECT_LT(wide.size(), cn::fused(exact).size())
-      << "wide fusion should beat gate fusion on coherent tapes";
-}
-
-TEST(NoiseProgram, FusedWidePreservesVerbatimPrefix) {
-  const cn::NoiseModel m = line_model(4, 501);
-  const cc::Circuit c = random_basis_circuit(4, 30, 91);
-  const cn::NoiseProgram exact = cn::lower(m, c);
-
-  const std::size_t cut = exact.op_end(c.size() / 2);
-  const cn::NoiseProgram part = cn::fused_wide(exact, cut);
-  ASSERT_TRUE(part.region_equal(exact, 0, cut));
-  EXPECT_EQ(part.level(), cn::OptLevel::kFusedWide);
-
-  cs::DensityMatrixEngine a(4), b(4);
-  exact.execute(a);
-  part.execute(b);
-  EXPECT_LE(max_abs_diff(a.raw(), b.raw()), 1e-12);
-}
-
-TEST(NoiseProgram, FusionWidthKnobClampsAndSticks) {
-  const int original = cn::fusion_width();
-  cn::set_fusion_width(3);
-  EXPECT_EQ(cn::fusion_width(), 3);
-  cn::set_fusion_width(1);  // clamps up
-  EXPECT_EQ(cn::fusion_width(), 2);
-  cn::set_fusion_width(7);  // clamps down
-  EXPECT_EQ(cn::fusion_width(), 3);
-  cn::set_fusion_width(original);
-}
-
-TEST(NoiseProgram, FusionPreservesVerbatimPrefix) {
-  const cn::NoiseModel m = line_model(4, 7);
-  const cc::Circuit c = random_basis_circuit(4, 30, 21);
-  const cn::NoiseProgram exact = cn::lower(m, c);
-
-  const std::size_t cut = exact.op_end(c.size() / 2);
-  const cn::NoiseProgram part = cn::fused(exact, cut);
-  ASSERT_TRUE(part.region_equal(exact, 0, cut));
-  EXPECT_EQ(part.level(), cn::OptLevel::kFused);
-
-  // Running the fused-suffix tape end-to-end stays within tolerance.
-  cs::DensityMatrixEngine a(4), b(4);
-  exact.execute(a);
-  part.execute(b);
-  EXPECT_LE(max_abs_diff(a.raw(), b.raw()), 1e-12);
+  EXPECT_LT(wide.size(), exact.size());
 }
 
 TEST(NoiseProgram, SplicedLoweringMatchesFullLoweringBitExactly) {
@@ -418,7 +349,7 @@ TEST(NoiseProgram, SpliceRejectsOverClaimedPrefix) {
   EXPECT_FALSE(cn::lower_spliced(m, base, bare, base, 5).has_value());
 }
 
-TEST(NoiseProgram, FingerprintsSeparateLevelsAndCircuits) {
+TEST(NoiseProgram, FingerprintsSeparateCircuits) {
   const cn::NoiseModel m = line_model(4, 29);
   const cc::Circuit c1 = random_basis_circuit(4, 25, 31);
   cc::Circuit c2 = c1;
@@ -426,16 +357,9 @@ TEST(NoiseProgram, FingerprintsSeparateLevelsAndCircuits) {
 
   const cn::NoiseProgram exact = cn::lower(m, c1);
   const cn::NoiseProgram again = cn::lower(m, c1);
-  const cn::NoiseProgram fused = cn::fused(exact);
-  const cn::NoiseProgram wide2 = cn::fused_wide(exact, 0, 2);
-  const cn::NoiseProgram wide3 = cn::fused_wide(exact, 0, 3);
   const cn::NoiseProgram other = cn::lower(m, c2);
 
   EXPECT_EQ(exact.fingerprint(), again.fingerprint());
-  EXPECT_NE(exact.fingerprint(), fused.fingerprint());
-  EXPECT_NE(exact.fingerprint(), wide2.fingerprint());
-  EXPECT_NE(fused.fingerprint(), wide2.fingerprint());
-  EXPECT_NE(wide2.fingerprint(), wide3.fingerprint());
   EXPECT_NE(exact.fingerprint(), other.fingerprint());
   EXPECT_NE(exact.fingerprint()[0], cn::tape_schema_fingerprint()[0]);
 }

@@ -163,8 +163,6 @@ void check_against_fixture(const std::string& name,
   const auto& a = actual.exec.strategy_jobs;
   const auto& e = expected.exec.strategy_jobs;
   EXPECT_EQ(a.dm_exact, e.dm_exact);
-  EXPECT_EQ(a.dm_fused, e.dm_fused);
-  EXPECT_EQ(a.dm_fused_wide, e.dm_fused_wide);
   EXPECT_EQ(a.trajectory, e.trajectory);
   EXPECT_EQ(a.checkpoint_splice, e.checkpoint_splice);
 }

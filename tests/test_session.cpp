@@ -92,15 +92,6 @@ TEST(SessionConfig, ReportsEveryProblemActionably) {
   EXPECT_NE(errors[4].find("threads"), std::string::npos);
 }
 
-TEST(SessionConfig, FusedTrajectoryCombinationIsRejected) {
-  charter::SessionConfig config =
-      charter::SessionConfig().engine(cb::EngineKind::kTrajectory);
-  config.execution().fused(true);
-  const auto errors = config.validate();
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("fused"), std::string::npos);
-}
-
 TEST(SessionConfig, SessionConstructorThrowsWithJoinedErrors) {
   const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
   try {
@@ -183,9 +174,7 @@ TEST(Session, StrategyJobsMatchTheRoutesEveryRunTook) {
   EXPECT_EQ(dm.strategy_jobs.dm_exact + dm.strategy_jobs.checkpoint_splice,
             dm.checkpointed + dm.checkpoint_fallbacks);
   EXPECT_EQ(dm.strategy_jobs.dm_exact, 1u);
-  EXPECT_EQ(dm.strategy_jobs.dm_fused + dm.strategy_jobs.dm_fused_wide +
-                dm.strategy_jobs.trajectory,
-            0u);
+  EXPECT_EQ(dm.strategy_jobs.trajectory, 0u);
 
   // Past kMaxQubits the fixed rule picks trajectories, and drift keeps
   // every job off the checkpoint routes: each one is a plain full run.
@@ -202,10 +191,8 @@ TEST(Session, StrategyJobsMatchTheRoutesEveryRunTook) {
   EXPECT_EQ(traj.full_runs, traj.jobs);
   EXPECT_EQ(traj.checkpointed + traj.trajectory_checkpointed, 0u);
   EXPECT_EQ(traj.strategy_jobs.trajectory, traj.full_runs);
-  EXPECT_EQ(traj.strategy_jobs.dm_exact + traj.strategy_jobs.dm_fused +
-                traj.strategy_jobs.dm_fused_wide +
-                traj.strategy_jobs.checkpoint_splice,
-            0u);
+  EXPECT_EQ(
+      traj.strategy_jobs.dm_exact + traj.strategy_jobs.checkpoint_splice, 0u);
 }
 
 TEST(Session, SubmitReportsMatchInputImpactToo) {

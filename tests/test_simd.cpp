@@ -301,7 +301,7 @@ void sweep_against_reference(const ms::KernelTable& table, int n, Rng& rng,
       const std::array<cplx, 4> d = random_diag4(rng);
       run("apply_cx", [&](cplx* a) { ref_apply_cx(a, dim, qa, qb); },
           [&](cplx* a) { table.apply_cx(a, dim, qa, qb); });
-      // Dense 4x4 (fused-wide tape op) — exercised at every (qa, qb)
+      // Dense 4x4 (kUnitary2q tape op) — exercised at every (qa, qb)
       // ordering so the bit-0 operand and low-stride fallbacks are hit.
       if (n >= 2) {
         const charter::math::Mat4 u4 = random_mat4(rng);

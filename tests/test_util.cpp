@@ -192,6 +192,12 @@ TEST(Table, FormatHelpers) {
   EXPECT_NE(p.find("e-24"), std::string::npos);
 }
 
+TEST(Table, PValueMantissaRoundingCarriesIntoTheExponent) {
+  EXPECT_EQ(cu::Table::fmt_pvalue(9.996e-5), "1.00e-4");
+  EXPECT_EQ(cu::Table::fmt_pvalue(0.009996), "1.00e-2");
+  EXPECT_EQ(cu::Table::fmt_pvalue(1.234e-7), "1.23e-7");
+}
+
 TEST(Csv, RoundTrips) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "charter_csv_test.csv")

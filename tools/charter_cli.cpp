@@ -20,7 +20,7 @@
 //
 // Every subcommand accepts --help; the analysis ones accept
 // --backend lagos|guadalupe (default by size), --reversals, --shots,
-// --seed, --top, --threads, --fused, and --adaptive.  An unknown --algo
+// --seed, --top, --threads, and --adaptive.  An unknown --algo
 // key lists the valid keys and exits 2.
 
 #include <dirent.h>
@@ -37,7 +37,6 @@
 #include "characterize/report_io.hpp"
 #include "circuit/qasm_parser.hpp"
 #include "math/simd_dispatch.hpp"
-#include "noise/program.hpp"
 #include "service/client.hpp"
 #include "service/json.hpp"
 #include "util/cli.hpp"
@@ -70,8 +69,6 @@ void add_common_flags(Cli& cli) {
   cli.add_flag("top", std::int64_t{15}, "rows to print in rankings");
   cli.add_flag("max-gates", std::int64_t{0},
                "cap analyzed gates (0 = all eligible)");
-  cli.add_flag("fused", false,
-               "fuse the lowered noise tape (faster; ~1e-12 tolerance)");
   cli.add_flag("threads", std::int64_t{0},
                "analysis worker-pool width (0 = all hardware threads; "
                "results are identical at every value)");
@@ -119,7 +116,6 @@ charter::SessionConfig make_config(const Cli& cli) {
       .shots(cli.get_int("shots"))
       .seed(static_cast<std::uint64_t>(cli.get_int("seed")));
   config.execution()
-      .fused(cli.get_bool("fused"))
       .threads(static_cast<int>(cli.get_int("threads")))
       .cache_dir(cli.get_string("cache-dir"))
       .adaptive(cli.get_bool("adaptive"));
@@ -142,10 +138,6 @@ int cmd_version(int argc, const char* const* argv) {
               std::getenv("CHARTER_SIMD") != nullptr
                   ? std::getenv("CHARTER_SIMD")
                   : "(none; set CHARTER_SIMD=scalar|sse2|neon|avx2|avx512)");
-  std::printf("  fusion width  : %d%s\n", charter::noise::fusion_width(),
-              std::getenv("CHARTER_FUSION_WIDTH") != nullptr
-                  ? " (from CHARTER_FUSION_WIDTH)"
-                  : " (default; set CHARTER_FUSION_WIDTH=2|3)");
   std::printf("  environment   : %s\n",
               cb::run_environment_summary().c_str());
   if (cli.get_bool("verbose")) {
