@@ -7,10 +7,11 @@
 //     one exact-tape sweep.
 //  2. full_noise: every channel on — recorded so the trend shows both
 //     regimes.
-//  3. threads[]: the coherent sweep re-run at 1/2/4 OpenMP threads; each
-//     row's folded distribution must be bit-identical to the 1-thread row
-//     (group folding is index-ordered and the amplitude-parallel sums are
-//     chunk-invariant).
+//  3. threads[]: the coherent sweep re-run serially inside a one-worker
+//     pool task (threads = 1) and off every pool, where its loops split
+//     across the process pool (threads = its width); the second row's
+//     folded distribution must be bit-identical to the first (group folding
+//     is index-ordered and the amplitude sums use fixed chunks).
 //  4. fanout: one exec::BatchRunner batch of 6 drifted trajectory jobs x 8
 //     unravellings on 4 pool threads — the shape of a Charter sweep past
 //     the density-matrix limit (tfim16 on ibmq_guadalupe; hlf10 under
@@ -38,10 +39,6 @@
 #include <string>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "algos/registry.hpp"
 #include "backend/backend.hpp"
 #include "bench/common.hpp"
@@ -56,6 +53,7 @@
 #include "noise/program.hpp"
 #include "sim/trajectory.hpp"
 #include "util/cli.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace cb = charter::backend;
@@ -350,7 +348,7 @@ int main(int argc, char** argv) {
           simd::path_name(simd::active_path()) + "\",\n";
   json += "  \"simd_available\": \"" + simd::available_paths() + "\",\n";
   json += "  \"amp_parallel_min_qubits\": " +
-          std::to_string(cs::amp_parallel_min_qubits()) + ",\n";
+          std::to_string(cs::kAmpParallelMinQubits) + ",\n";
 
   const SweepRow coh =
       bench_config("coherent", coherent, circuit, trajectories, reps, seed);
@@ -359,47 +357,49 @@ int main(int argc, char** argv) {
   append_row(json, "coherent", coh);
   append_row(json, "full_noise", fn);
 
-  // Thread-count determinism: the coherent sweep folded at 1/2/4 OpenMP
-  // threads must be bit-identical (index-ordered group folds;
-  // chunk-invariant amplitude sums in the parallel regime).
+  // Thread-count determinism: the coherent sweep folded serially inside a
+  // pool task and split across the process pool must be bit-identical
+  // (index-ordered group folds; fixed-chunk amplitude sums).
   const cn::NoiseProgram tape = cn::lower(coherent, circuit);
   json += "  \"threads\": [\n";
   std::vector<double> one_thread;
   bool threads_ok = true;
-#ifdef _OPENMP
-  const int max_omp = omp_get_max_threads();
-#else
-  const int max_omp = 1;
-#endif
-  bool first = true;
-  for (int t = 1; t <= 4; t *= 2) {
-#ifdef _OPENMP
-    omp_set_num_threads(std::min(t, max_omp));
-#else
-    if (t > 1) break;
-#endif
-    const double ms = 1e3 * best_seconds(1, [&] {
-                        sweep(tape, qubits, trajectories, seed);
-                      });
-    const std::vector<double> p = sweep(tape, qubits, trajectories, seed);
-    if (t == 1) one_thread = p;
+  struct Where {
+    const char* name;
+    int threads;
+    bool in_pool_task;
+  };
+  const Where wheres[] = {{"pool_task", 1, true},
+                          {"process_pool", charter::util::resolve_threads(0),
+                           false}};
+  for (const Where& w : wheres) {
+    double ms = 0.0;
+    std::vector<double> p;
+    const auto measure = [&] {
+      ms = 1e3 * best_seconds(1, [&] {
+             sweep(tape, qubits, trajectories, seed);
+           });
+      p = sweep(tape, qubits, trajectories, seed);
+    };
+    if (w.in_pool_task) {
+      charter::util::ThreadPool(1).run(1, [&](std::int64_t, int) { measure(); });
+      one_thread = p;
+    } else {
+      measure();
+    }
     const bool identical =
         p.size() == one_thread.size() &&
         std::memcmp(p.data(), one_thread.data(),
                     p.size() * sizeof(double)) == 0;
     threads_ok = threads_ok && identical;
-    if (!first) json += ",\n";
-    first = false;
-    char buf[160];
+    if (!w.in_pool_task) json += ",\n";
+    char buf[192];
     std::snprintf(buf, sizeof(buf),
-                  "    {\"threads\": %d, \"ms\": %.3f, "
+                  "    {\"threads\": %d, \"where\": \"%s\", \"ms\": %.3f, "
                   "\"bit_identical_to_1_thread\": %s}",
-                  t, ms, identical ? "true" : "false");
+                  w.threads, w.name, ms, identical ? "true" : "false");
     json += buf;
   }
-#ifdef _OPENMP
-  omp_set_num_threads(max_omp);
-#endif
   json += "\n  ],\n";
 
   const FanoutRow fan = bench_fanout(smoke ? "hlf10" : "tfim16", /*jobs=*/6,

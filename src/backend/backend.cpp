@@ -2,12 +2,12 @@
 
 #include "math/simd_dispatch.hpp"
 #include "noise/executor.hpp"
-#include "util/parallel.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/measurement.hpp"
 #include "sim/statevector.hpp"
 #include "sim/trajectory.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace charter::backend {
 
@@ -94,7 +94,7 @@ std::string run_environment_summary() {
   std::string out = "simd=";
   out += simd::path_name(simd::active_path());
   out += " (available: " + simd::available_paths() + ")";
-  out += ", threads=" + std::to_string(util::num_threads());
+  out += ", threads=" + std::to_string(util::resolve_threads(0));
   out += ", dm_max_qubits=" +
          std::to_string(sim::DensityMatrixEngine::kMaxQubits);
   return out;

@@ -5,8 +5,8 @@
 #include <set>
 
 #include "util/error.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace charter::core {
 
@@ -202,7 +202,7 @@ CharterReport CharterAnalyzer::analyze(const CompiledProgram& program,
   exec::BatchRunner::Stats total_stats;
   report.impacts.resize(chosen.size());
   const std::size_t chunk_size = std::max<std::size_t>(
-      256, 8 * static_cast<std::size_t>(util::num_threads()));
+      256, 8 * static_cast<std::size_t>(util::resolve_threads(0)));
   ProgressRelay relay(hooks, chosen.size() + 1);
 
   // One execution rule for the whole family: the engine resolve_engine

@@ -32,8 +32,9 @@ void diag_run_blocked(cplx* a, std::uint64_t dim, const DiagFactor* f,
   constexpr int W = static_cast<int>(sizeof(V) / sizeof(cplx));
   constexpr int kRegs = 4;
   constexpr std::uint64_t kBlock = std::uint64_t{W} * kRegs;
-  // Parallel from 4096 elements up, like the per-op DM kernels.
-  constexpr std::int64_t kGrain = 2048 / static_cast<std::int64_t>(kBlock);
+  // A block counts as kBlock / 2 iterations of a per-op kernel's loop over
+  // amplitude pairs.
+  constexpr std::int64_t kBlockPairs = static_cast<std::int64_t>(kBlock) / 2;
   if (dim < kBlock) {
     // A state smaller than one block (a one-qubit density matrix on the
     // wide paths) runs the same block arithmetic on a padded copy.
@@ -88,7 +89,7 @@ void diag_run_blocked(cplx* a, std::uint64_t dim, const DiagFactor* f,
           }
           for (int r = 0; r < kRegs; ++r) x[r].store(p + r * W);
         },
-        kGrain);
+        kBlockPairs);
   }
 }
 

@@ -39,7 +39,9 @@
 /// streams a kernel reads all advance sequentially through memory and each
 /// cache line is touched exactly once per pass.
 ///
-/// All kernels are OpenMP-parallel above a size threshold and in-place.
+/// All kernels are in place and split their loops across the process pool
+/// through util::parallel_for (serial on pool workers and below
+/// util::kParallelMinLength).
 
 #include <array>
 #include <cstddef>
@@ -146,11 +148,15 @@ inline void apply_swap(cplx* a, std::uint64_t dim, int qa, int qb) {
   });
 }
 
-/// Squared norm of the state.  A scalar order-fixed reduction on every
-/// path, so sums never reassociate across dispatch changes.
+/// Squared norm of the state: a fixed-chunk sum, so the bits are the same
+/// at every thread count, on and off the pool.
 inline double norm_sq(const cplx* a, std::uint64_t dim) {
-  return util::parallel_sum(static_cast<std::int64_t>(dim),
-                            [=](std::int64_t i) { return std::norm(a[i]); });
+  return util::parallel_sum_chunked(
+      static_cast<std::int64_t>(dim), [=](std::int64_t b, std::int64_t e) {
+        double s = 0.0;
+        for (std::int64_t i = b; i < e; ++i) s += std::norm(a[i]);
+        return s;
+      });
 }
 
 /// Scales all amplitudes by \p s.

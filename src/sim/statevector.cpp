@@ -1,9 +1,6 @@
 #include "sim/statevector.hpp"
 
-#include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "sim/kernels.hpp"
 #include "util/error.hpp"
@@ -13,36 +10,6 @@ namespace charter::sim {
 using circ::Gate;
 using circ::GateKind;
 using math::cplx;
-
-namespace {
-
-int initial_amp_parallel_min_qubits() {
-  if (const char* env = std::getenv("CHARTER_AMP_PARALLEL_MIN_QUBITS")) {
-    const int v = std::atoi(env);
-    if (v >= 1 && v <= 63) return v;
-    std::fprintf(stderr,
-                 "charter: ignoring CHARTER_AMP_PARALLEL_MIN_QUBITS=%s "
-                 "(want 1..63); keeping default 20\n",
-                 env);
-  }
-  return 20;
-}
-
-std::atomic<int>& amp_parallel_threshold() {
-  static std::atomic<int> threshold{initial_amp_parallel_min_qubits()};
-  return threshold;
-}
-
-}  // namespace
-
-int amp_parallel_min_qubits() {
-  return amp_parallel_threshold().load(std::memory_order_relaxed);
-}
-
-void set_amp_parallel_min_qubits(int num_qubits) {
-  const int clamped = num_qubits < 1 ? 1 : (num_qubits > 63 ? 63 : num_qubits);
-  amp_parallel_threshold().store(clamped, std::memory_order_relaxed);
-}
 
 Statevector::Statevector(int num_qubits) : num_qubits_(num_qubits) {
   require(num_qubits >= 1 && num_qubits <= 28,
@@ -160,7 +127,7 @@ namespace {
 template <typename RangeSum>
 double fixed_order_sum(int num_qubits, std::uint64_t n, RangeSum range_sum) {
   const auto len = static_cast<std::int64_t>(n);
-  if (num_qubits >= amp_parallel_min_qubits())
+  if (num_qubits >= kAmpParallelMinQubits)
     return util::parallel_sum_chunked(len, range_sum);
   return range_sum(std::int64_t{0}, len);
 }

@@ -17,17 +17,13 @@
 namespace charter::sim {
 
 /// Width (in qubits) at and above which the statevector/trajectory engines
-/// switch to *amplitude-level* parallelism: unravellings run serially so
-/// the O(2^n) kernels may fan out over OpenMP instead, and state reductions
-/// (norm, marginals) use the thread-count-invariant chunked sum.  Below the
-/// threshold the parallelism is per job and per unravelling, kernels stay
-/// serial, and reductions sum in serial index order on every thread.  Default 20; override with
-/// CHARTER_AMP_PARALLEL_MIN_QUBITS (read once at first use).
-int amp_parallel_min_qubits();
-
-/// Overrides the amplitude-parallelism threshold (tests/benches); values
-/// are clamped to [1, 63].
-void set_amp_parallel_min_qubits(int num_qubits);
+/// switch to *amplitude-level* parallelism: sim::run_trajectories runs its
+/// unravellings one after another so the O(2^n) kernels split across the
+/// process pool instead, and state reductions (norm, marginals) use the
+/// fixed-chunk util::parallel_sum_chunked.  Below it run_trajectories
+/// spreads its unravellings over the pool, and reductions sum in serial
+/// index order on every thread.
+inline constexpr int kAmpParallelMinQubits = 20;
 
 /// 2^n complex amplitudes with gate application and measurement helpers.
 class Statevector {

@@ -250,14 +250,21 @@ std::vector<double> run_trajectories(
     program(engine);
     fold.add(static_cast<int>(t), engine.probabilities());
   };
-  if (num_qubits >= amp_parallel_min_qubits()) {
-    // Amplitude-parallel regime: each O(2^n) kernel pass dwarfs the
-    // per-unravelling overhead, so run them serially and let the kernels'
-    // own OpenMP loops fan out instead.  The fold makes the order in which
+  util::ThreadPool* pool =
+      num_qubits < kAmpParallelMinQubits && num_trajectories > 1 &&
+              !util::in_pool_worker()
+          ? util::process_pool()
+          : nullptr;
+  if (pool != nullptr) {
+    // One pool task per unravelling.
+    pool->run(num_trajectories, [&](std::int64_t t, int) { run_one(t); });
+  } else {
+    // Amplitude-parallel regime (or one unravelling, or already on a pool
+    // worker): each O(2^n) kernel pass dwarfs the per-unravelling overhead,
+    // so run them one after another and let the kernels' own loops split
+    // across the pool instead.  The fold makes the order in which
     // unravellings finish irrelevant, so both branches give the same bits.
     for (std::int64_t t = 0; t < num_trajectories; ++t) run_one(t);
-  } else {
-    util::parallel_for_dynamic(num_trajectories, run_one);
   }
   return fold.finish();
 }

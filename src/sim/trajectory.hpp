@@ -156,10 +156,11 @@ class TrajectoryFold {
 
 /// Averages probabilities over \p num_trajectories independent unravellings
 /// of the noisy program \p program (a callback that drives one engine).
-/// Unravellings run in parallel across threads (below
-/// amp_parallel_min_qubits(); above it they run serially and the kernels fan
-/// out) and fold through a TrajectoryFold; \p seed splits per trajectory, so
-/// results are deterministic regardless of thread count.
+/// Unravellings run as tasks on util::process_pool() below
+/// kAmpParallelMinQubits (serially on pool workers); at and above it they
+/// run one after another and the kernels split across the pool.  Either way
+/// they fold through a TrajectoryFold and \p seed splits per trajectory, so
+/// results are the same bits regardless of thread count.
 std::vector<double> run_trajectories(
     int num_qubits, int num_trajectories, std::uint64_t seed,
     const std::function<void(NoisyEngine&)>& program);

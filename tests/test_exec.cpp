@@ -38,10 +38,6 @@
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace cb = charter::backend;
 namespace cc = charter::circ;
 namespace cn = charter::noise;
@@ -892,19 +888,20 @@ TEST(BatchRunner, PlainTrajectoryFanOutMatchesRunTrajectoriesPerJob) {
   }
 }
 
-TEST(BatchRunner, BackendRunMatchesBatchAtEveryOpenMpWidth) {
+TEST(BatchRunner, BackendRunMatchesBatchOnAndOffThePool) {
   // A standalone FakeBackend::run sums its renormalizations in a fixed
-  // order off the pool too, so its trajectory average equals the pooled
-  // BatchRunner result at OpenMP 1 and 4 alike.  12 qubits put the state
-  // past the size at which an OpenMP reduction would kick in; one
-  // trajectory keeps the run on the calling thread.
+  // order, so its trajectory average equals the pooled BatchRunner result
+  // both off every pool (one trajectory: the kernels split across the
+  // process pool; eight: one process-pool task per unravelling) and inside
+  // a one-worker pool task, where every loop runs serially.  14 qubits put
+  // the kernels' loops past util::kParallelMinLength.
   const cb::FakeBackend backend = cb::FakeBackend::guadalupe(16);
-  cc::Circuit logical(12);
-  for (int q = 0; q < 12; ++q) logical.h(q);
-  for (int q = 0; q + 1 < 12; ++q) logical.cx(q, q + 1);
-  for (int q = 0; q < 12; ++q) logical.rx(q, 0.2 + 0.05 * q);
+  cc::Circuit logical(14);
+  for (int q = 0; q < 14; ++q) logical.h(q);
+  for (int q = 0; q + 1 < 14; ++q) logical.cx(q, q + 1);
+  for (int q = 0; q < 14; ++q) logical.rx(q, 0.2 + 0.05 * q);
   const cb::CompiledProgram program = backend.compile(logical);
-  ASSERT_GE(cb::used_qubits(program).size(), 12u);
+  ASSERT_GE(cb::used_qubits(program).size(), 14u);
 
   for (const int trajectories : {1, 8}) {
     ex::AnalysisJob job;
@@ -919,25 +916,13 @@ TEST(BatchRunner, BackendRunMatchesBatchAtEveryOpenMpWidth) {
     options.threads = 2;
     const std::vector<double> batched =
         ex::BatchRunner(backend, options).run({job}).front();
-#ifdef _OPENMP
-    // libgomp is not instrumented for ThreadSanitizer, whose leg runs the
-    // suite at one OpenMP thread: a forced 4-thread team there would only
-    // report the team's own barriers as races.
-#ifdef __SANITIZE_THREAD__
-    const std::vector<int> widths = {1};
-#else
-    const std::vector<int> widths = {1, 4};
-#endif
-    const int saved = omp_get_max_threads();
-    for (const int omp : widths) {
-      omp_set_num_threads(omp);
-      EXPECT_TRUE(bits_equal(backend.run(program, job.run), batched))
-          << trajectories << " trajectories at OpenMP " << omp;
-    }
-    omp_set_num_threads(saved);
-#else
-    EXPECT_TRUE(bits_equal(backend.run(program, job.run), batched));
-#endif
+    EXPECT_TRUE(bits_equal(backend.run(program, job.run), batched))
+        << trajectories << " trajectories off the pool";
+    std::vector<double> serial;
+    cu::ThreadPool(1).run(
+        1, [&](std::int64_t, int) { serial = backend.run(program, job.run); });
+    EXPECT_TRUE(bits_equal(serial, batched))
+        << trajectories << " trajectories inside a pool task";
   }
 }
 

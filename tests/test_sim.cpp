@@ -16,6 +16,7 @@
 #include "sim/trajectory.hpp"
 #include "stats/stats.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cc = charter::circ;
 namespace cm = charter::math;
@@ -207,8 +208,8 @@ TEST(Statevector, NormPreservedUnderRandomCircuits) {
 TEST(Statevector, ProbabilityOneHalfSumIsBitIdenticalToFullLoop) {
   // probability_one visits only the bit-q = 1 half; the skipped terms of
   // the full loop are exact +0.0, so both regimes — the serial sum below
-  // the amplitude-parallelism threshold and the chunked sum above it — must
-  // reproduce the full-loop formula bit for bit.
+  // kAmpParallelMinQubits and the chunked sum at it — must reproduce the
+  // full-loop formula bit for bit.
   const auto full_loop = [](const cs::Statevector& sv, int q,
                             std::int64_t chunk) {
     const std::uint64_t mask = 1ULL << q;
@@ -223,23 +224,25 @@ TEST(Statevector, ProbabilityOneHalfSumIsBitIdenticalToFullLoop) {
     }
     return total;
   };
-  const int saved = cs::amp_parallel_min_qubits();
   charter::util::Rng rng(41);
-  for (int n = 3; n <= 16; ++n) {
+  const auto random_state = [&](int n) {
     cs::Statevector sv(n);
     for (cplx& v : sv.mutable_amplitudes())
       v = cplx(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
-    for (int q = 0; q < n; ++q) {
-      cs::set_amp_parallel_min_qubits(63);  // serial index order
+    return sv;
+  };
+  for (int n = 3; n <= 16; ++n) {
+    const cs::Statevector sv = random_state(n);
+    for (int q = 0; q < n; ++q)
       EXPECT_EQ(sv.probability_one(q), full_loop(sv, q, std::int64_t{1} << n))
           << "n=" << n << " q=" << q;
-      cs::set_amp_parallel_min_qubits(1);  // chunked, thread-invariant
-      EXPECT_EQ(sv.probability_one(q),
-                full_loop(sv, q, charter::util::kChunkedSumLen))
-          << "chunked n=" << n << " q=" << q;
-    }
   }
-  cs::set_amp_parallel_min_qubits(saved);
+  const int n = cs::kAmpParallelMinQubits;
+  const cs::Statevector sv = random_state(n);
+  for (int q = 0; q < n; ++q)
+    EXPECT_EQ(sv.probability_one(q),
+              full_loop(sv, q, charter::util::kChunkedSumLen))
+        << "chunked n=" << n << " q=" << q;
 }
 
 TEST(Statevector, CircuitInverseRestoresState) {
@@ -333,6 +336,32 @@ TEST(DensityMatrix, PureEvolutionMatchesStatevector) {
     EXPECT_NEAR(dm.trace(), 1.0, 1e-10);
     EXPECT_NEAR(dm.purity(), 1.0, 1e-10);
   }
+}
+
+TEST(DensityMatrix, PurityIsBitIdenticalOnAndOffThePool) {
+  // 7 qubits give 16 384 entries, past both util::kParallelMinLength and one
+  // kChunkedSumLen chunk: off the pool the sum splits across the process
+  // pool, inside a pool task it runs serially, and the fixed chunks give
+  // both the same bits.
+  charter::util::Rng rng(7);
+  cs::DensityMatrixEngine dm(7);
+  for (int layer = 0; layer < 3; ++layer) {
+    for (int q = 0; q < 7; ++q) {
+      dm.apply_unitary_1q(
+          cc::gate_unitary_1q(cc::make_gate(GateKind::RX, {q},
+                                            {rng.uniform(0.1, 3.0)})),
+          q);
+      dm.apply_depolarizing_1q(q, rng.uniform(0.01, 0.2));
+    }
+    for (int q = 0; q + 1 < 7; ++q) dm.apply_cx(q, q + 1);
+  }
+  const double off_pool = dm.purity();
+  double on_pool = 0.0;
+  charter::util::ThreadPool(1).run(
+      1, [&](std::int64_t, int) { on_pool = dm.purity(); });
+  EXPECT_EQ(off_pool, on_pool);
+  EXPECT_GT(off_pool, 1.0 / 128);
+  EXPECT_LT(off_pool, 1.0);
 }
 
 TEST(DensityMatrix, FullAmplitudeDampingReachesGround) {

@@ -4,13 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -110,19 +113,95 @@ TEST(Parallel, ForCoversAllIndices) {
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
-TEST(Parallel, SumMatchesSerial) {
-  const std::int64_t n = 100000;
-  const double got = cu::parallel_sum(n, [](std::int64_t i) {
-    return 1.0 / ((i + 1.0) * (i + 1.0));
-  });
-  double want = 0.0;
-  for (std::int64_t i = 0; i < n; ++i) want += 1.0 / ((i + 1.0) * (i + 1.0));
-  EXPECT_NEAR(got, want, 1e-9);
+namespace {
+
+/// parallel_sum_chunked's range function for sum_i f(i), in index order.
+template <typename F>
+auto range_sum_of(F f) {
+  return [f](std::int64_t b, std::int64_t e) {
+    double s = 0.0;
+    for (std::int64_t i = b; i < e; ++i) s += f(i);
+    return s;
+  };
 }
 
-TEST(Parallel, SmallLoopStaysCorrect) {
-  double total = cu::parallel_sum(3, [](std::int64_t i) { return i * 1.0; });
+}  // namespace
+
+TEST(Parallel, ChunkedSumIsTheChunkOrderedSerialSum) {
+  const std::int64_t n = 100000;
+  const auto term = [](std::int64_t i) {
+    return 1.0 / ((i + 1.0) * (i + 1.0));
+  };
+  const double got = cu::parallel_sum_chunked(n, range_sum_of(term));
+  double want = 0.0;
+  for (std::int64_t b = 0; b < n; b += cu::kChunkedSumLen)
+    want += range_sum_of(term)(b, std::min(n, b + cu::kChunkedSumLen));
+  EXPECT_EQ(got, want);  // the same association off and on the pool
+  double on_worker = 0.0;
+  cu::ThreadPool(1).run(1, [&](std::int64_t, int) {
+    on_worker = cu::parallel_sum_chunked(n, range_sum_of(term));
+  });
+  EXPECT_EQ(on_worker, want);
+}
+
+TEST(Parallel, SmallChunkedSumStaysCorrect) {
+  const double total = cu::parallel_sum_chunked(
+      3, range_sum_of([](std::int64_t i) { return i * 1.0; }));
   EXPECT_DOUBLE_EQ(total, 3.0);
+}
+
+TEST(Parallel, CallerTakesTheFirstBlock) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id first_block;
+  cu::parallel_for(4 * cu::kParallelMinLength, [&](std::int64_t i) {
+    if (i == 0) first_block = std::this_thread::get_id();
+  });
+  EXPECT_EQ(first_block, caller);
+  EXPECT_FALSE(cu::in_pool_worker());  // the caller's mark is lifted again
+}
+
+TEST(Parallel, ConcurrentCallersBothGetCorrectResults) {
+  // Two threads split loops at once; whichever finds the process pool busy
+  // runs its loop serially, and both see every index written once.
+  constexpr std::int64_t n = std::int64_t{1} << 15;
+  std::vector<std::int64_t> a(n), b(n);
+  const auto fill = [n](std::vector<std::int64_t>& v, std::int64_t k) {
+    for (std::int64_t round = 0; round < 200; ++round)
+      cu::parallel_for(n, [&](std::int64_t i) { v[i] = k * i + round; });
+  };
+  std::thread ta(fill, std::ref(a), 3);
+  std::thread tb(fill, std::ref(b), 5);
+  ta.join();
+  tb.join();
+  for (std::int64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(a[i], 3 * i + 199) << i;
+    ASSERT_EQ(b[i], 5 * i + 199) << i;
+  }
+}
+
+TEST(Parallel, BusyPoolRunsTheLoopSeriallyOnTheCaller) {
+  cu::ThreadPool* pool = cu::process_pool();
+  if (pool == nullptr) GTEST_SKIP() << "one hardware thread: no pool";
+  std::atomic<bool> holding{false}, release{false};
+  std::thread holder([&] {
+    pool->try_split(1, [&](std::int64_t, std::int64_t) {
+      holding = true;
+      while (!release) std::this_thread::yield();
+    });
+  });
+  while (!holding) std::this_thread::yield();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> hits(4 * cu::kParallelMinLength, 0);
+  std::atomic<int> elsewhere{0};
+  cu::parallel_for(static_cast<std::int64_t>(hits.size()),
+                   [&](std::int64_t i) {
+                     ++hits[static_cast<std::size_t>(i)];
+                     if (std::this_thread::get_id() != caller) ++elsewhere;
+                   });
+  release = true;
+  holder.join();
+  EXPECT_EQ(elsewhere.load(), 0);
+  for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(Cli, ParsesTypedFlags) {
@@ -308,6 +387,43 @@ TEST(ThreadPool, FirstExceptionPropagatesAfterDrain) {
   std::atomic<int> after{0};
   pool.run(4, [&](std::int64_t, int) { ++after; });
   EXPECT_EQ(after.load(), 4);
+}
+
+TEST(ThreadPool, SplitsAndRunsInterleaveOnOnePool) {
+  // Split regions of every size around the block count, alternating with
+  // run() regions, so workers keep meeting both kinds of region.
+  cu::ThreadPool pool(3);
+  std::vector<int> hits(64, 0);
+  for (int round = 0; round < 2000; ++round) {
+    const std::int64_t n = 1 + round % 9;
+    std::atomic<int> calls{0};
+    ASSERT_TRUE(pool.try_split(n, [&](std::int64_t b, std::int64_t e) {
+      ++calls;
+      for (std::int64_t i = b; i < e; ++i) ++hits[static_cast<std::size_t>(i)];
+    }));
+    EXPECT_EQ(calls.load(), std::min<std::int64_t>(n, 4));
+    if (round % 3 == 0) {
+      std::atomic<std::int64_t> sum{0};
+      pool.run(5, [&](std::int64_t i, int) { sum += i; });
+      EXPECT_EQ(sum.load(), 10);
+    }
+    for (std::int64_t i = 0; i < 64; ++i)
+      ASSERT_EQ(hits[static_cast<std::size_t>(i)], i < n ? 1 : 0)
+          << "round " << round << " index " << i;
+    std::fill(hits.begin(), hits.end(), 0);
+  }
+}
+
+TEST(ThreadPool, SplitRethrowsAWorkerBlockFailure) {
+  cu::ThreadPool pool(3);
+  EXPECT_THROW(pool.try_split(4,
+                              [](std::int64_t b, std::int64_t) {
+                                if (b == 3) throw std::runtime_error("block");
+                              }),
+               std::runtime_error);
+  std::atomic<int> calls{0};
+  EXPECT_TRUE(pool.try_split(4, [&](std::int64_t, std::int64_t) { ++calls; }));
+  EXPECT_EQ(calls.load(), 4);
 }
 
 TEST(ThreadPool, ResolveThreadsHonorsExplicitAndAuto) {
